@@ -1,19 +1,20 @@
-"""Scalar-vs-batch engine and columnar-vs-object core baselines.
+"""Runtime baselines of the batched solver over the columnar core.
 
-Runs every analysis mode on the s35932-like circuit with both
-waveform-evaluation engines and records wall-clock, arcs/second and the
-speedup, plus the engine-agreement check (longest-path delays must match
-within the quantization guard band -- in practice they agree bitwise).
+Runs every analysis mode on the s35932-like circuit and records
+wall-clock, arcs/second, per-pass work and per-run metrics, plus the
+two-tier screened solver against exact Newton.
 
 A second section sweeps the circuit scale (0.05 / 0.2 / 1.0 -- the last
-is the paper's full-size s35932) and times the one-step analysis under
-both propagation cores (``Core.OBJECT`` vs ``Core.COLUMNAR``), recording
-compile time and peak RSS per run.  ``REPRO_SWEEP_MAX=<float>`` caps the
-sweep's largest scale for quick local runs.
+is the paper's full-size s35932) and times the one-step analysis,
+recording compile time and peak RSS per run.  ``REPRO_SWEEP_MAX=<float>``
+caps the sweep's largest scale for quick local runs.
 
 Besides the human-readable results block, the numbers are written
 machine-readable to ``BENCH_sta_runtime.json`` at the repo root so CI and
-future sessions can track regressions.
+future sessions can track regressions.  Rows keep the ``engines.batch``
+and ``cores.columnar`` nesting of the files written while a scalar engine
+and an object core were still measured beside them, so committed history
+and fresh runs read the same way.
 """
 
 from __future__ import annotations
@@ -29,20 +30,20 @@ import pytest
 
 from repro.circuit import s35932_like
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, Core, Engine, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, SolverTier, StaConfig
 from repro.flow import prepare_design
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_sta_runtime.json"
 
 SCREEN_TOLERANCE = 100e-12
 
-# The core sweep's scales; 1.0 is the paper's full-size s35932 (the
-# tentpole target), the smaller points keep the curve's shape visible.
+# The core sweep's scales; 1.0 is the paper's full-size s35932, the
+# smaller points keep the curve's shape visible.
 SWEEP_SCALES = (0.05, 0.2, 1.0)
 SWEEP_MODE = AnalysisMode.ONE_STEP
 
-# The committed batch-engine baseline the columnar core is measured
-# against (BENCH_sta_runtime.json @ 49e0456: one_step/batch, object
+# The committed batch-engine baseline the columnar core was measured
+# against when it landed (one_step/batch over the since-deleted object
 # core): the acceptance target is >= 5x this throughput at scale 1.0.
 OBJECT_BASELINE_APS = 1385.0
 COLUMNAR_TARGET_SPEEDUP = 5.0
@@ -56,69 +57,57 @@ def _peak_rss_mb() -> float:
 
 
 @pytest.fixture(scope="module")
-def engine_comparison(scale, record_result):
+def mode_runs(scale, record_result):
     design = prepare_design(s35932_like(scale=scale))
     guard = StaConfig().guard
     rows = []
     for mode in AnalysisMode:
-        per_engine = {}
-        for engine in (Engine.SCALAR, Engine.BATCH):
-            # A fresh analyzer per run: no cross-engine cache sharing.
-            sta = CrosstalkSTA(design, StaConfig(mode=mode, engine=engine))
-            t0 = time.perf_counter()
-            result = sta.run()
-            seconds = time.perf_counter() - t0
-            per_engine[engine.value] = {
-                "seconds": seconds,
-                "longest_delay": result.longest_delay,
-                "arcs_processed": result.arcs_processed,
-                "waveform_evaluations": result.waveform_evaluations,
-                "arcs_per_second": result.arcs_processed / seconds,
-                "passes": result.passes,
-                # Per-pass series: how the delta-driven engine's work
-                # decays over the iterative passes (pass 1 pays in full,
-                # later passes only re-solve dirty arcs).
-                "pass_series": [
-                    {
-                        "index": record.index,
-                        "seconds": record.seconds,
-                        "waveform_evaluations": record.waveform_evaluations,
-                        "cache_evaluations": record.cache_evaluations,
-                        "dedup_hits": record.cache_dedup_hits,
-                        "persisted_hits": record.cache_persisted_hits,
-                        "dirty_arcs": record.dirty_arcs,
-                        "reused_arcs": record.reused_arcs,
-                    }
-                    for record in result.history
-                ],
-                # Per-run metrics delta (counters/gauges/histograms) so CI
-                # can track solver behaviour, not just wall-clock.
-                "metrics": result.telemetry.metrics if result.telemetry else {},
-            }
-        scalar = per_engine["scalar"]
-        batch = per_engine["batch"]
-        rows.append(
-            {
-                "mode": mode.value,
-                "engines": per_engine,
-                "speedup": scalar["seconds"] / batch["seconds"],
-                "delay_diff": abs(scalar["longest_delay"] - batch["longest_delay"]),
-            }
-        )
+        # A fresh analyzer per run: no cross-mode cache sharing.
+        sta = CrosstalkSTA(design, StaConfig(mode=mode))
+        t0 = time.perf_counter()
+        result = sta.run()
+        seconds = time.perf_counter() - t0
+        batch = {
+            "seconds": seconds,
+            "longest_delay": result.longest_delay,
+            "arcs_processed": result.arcs_processed,
+            "waveform_evaluations": result.waveform_evaluations,
+            "arcs_per_second": result.arcs_processed / seconds,
+            "passes": result.passes,
+            # Per-pass series: how the delta-driven engine's work decays
+            # over the iterative passes (pass 1 pays in full, later
+            # passes only re-solve dirty arcs).
+            "pass_series": [
+                {
+                    "index": record.index,
+                    "seconds": record.seconds,
+                    "waveform_evaluations": record.waveform_evaluations,
+                    "cache_evaluations": record.cache_evaluations,
+                    "dedup_hits": record.cache_dedup_hits,
+                    "persisted_hits": record.cache_persisted_hits,
+                    "dirty_arcs": record.dirty_arcs,
+                    "reused_arcs": record.reused_arcs,
+                }
+                for record in result.history
+            ],
+            # Per-run metrics delta (counters/gauges/histograms) so CI
+            # can track solver behaviour, not just wall-clock.
+            "metrics": result.telemetry.metrics if result.telemetry else {},
+        }
+        rows.append({"mode": mode.value, "engines": {"batch": batch}})
 
     lines = [
-        f"Scalar vs batch engine (s35932-like at scale {scale})",
+        f"Batched solver, columnar core (s35932-like at scale {scale})",
         "",
-        f"{'mode':<16} {'scalar s':>9} {'batch s':>9} {'speedup':>8} "
-        f"{'arcs/s (batch)':>15} {'delay diff':>11}",
-        "-" * 74,
+        f"{'mode':<16} {'seconds':>9} {'arcs/s':>9} {'passes':>7} {'delay ns':>10}",
+        "-" * 55,
     ]
     for row in rows:
+        batch = row["engines"]["batch"]
         lines.append(
-            f"{row['mode']:<16} {row['engines']['scalar']['seconds']:>9.2f} "
-            f"{row['engines']['batch']['seconds']:>9.2f} {row['speedup']:>7.2f}x "
-            f"{row['engines']['batch']['arcs_per_second']:>15.0f} "
-            f"{row['delay_diff']:>11.2e}"
+            f"{row['mode']:<16} {batch['seconds']:>9.2f} "
+            f"{batch['arcs_per_second']:>9.0f} {batch['passes']:>7} "
+            f"{batch['longest_delay'] * 1e9:>10.4f}"
         )
     record_result("perf_baseline", "\n".join(lines))
 
@@ -129,7 +118,6 @@ def engine_comparison(scale, record_result):
                 "circuit": "s35932_like",
                 "scale": scale,
                 "guard": guard,
-                "core": StaConfig().core.value,
                 "python": platform.python_version(),
                 "modes": rows,
             },
@@ -148,7 +136,7 @@ def _timed_run(design, config):
 
 
 @pytest.fixture(scope="module")
-def screened_comparison(scale, record_result, engine_comparison):
+def screened_comparison(scale, record_result, mode_runs):
     """Two-tier solver vs exact Newton, per analysis mode.
 
     Three runs per mode: exact, screened with refinement disabled (the
@@ -247,7 +235,7 @@ def screened_comparison(scale, record_result, engine_comparison):
         )
     record_result("perf_screened", "\n".join(lines))
 
-    # engine_comparison already wrote the base payload; graft the
+    # mode_runs already wrote the base payload; graft the
     # screened section on so both live in one machine-readable file.
     payload = json.loads(BENCH_JSON.read_text())
     payload["screened"] = {"tolerance": SCREEN_TOLERANCE, "modes": rows}
@@ -255,45 +243,20 @@ def screened_comparison(scale, record_result, engine_comparison):
     return rows
 
 
-def test_engines_agree_within_guard_band(engine_comparison, benchmark):
-    for row in engine_comparison["rows"]:
-        assert row["delay_diff"] <= engine_comparison["guard"], row["mode"]
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_batch_speedup_on_one_step(engine_comparison, benchmark):
-    """The headline claim: the batch engine accelerates the paper's
-    one-step analysis substantially at the default benchmark scale.
-
-    The floor is 2x, not the historical 3.4x: signature canonicalization
-    removed most of the scalar engine's fixed cost (it now builds ~9
-    stage tables instead of 75 and dedups aliased pins' solves), so the
-    batch engine's *relative* advantage shrank while both absolute times
-    improved."""
-    row = next(
-        r for r in engine_comparison["rows"] if r["mode"] == AnalysisMode.ONE_STEP.value
-    )
-    assert row["speedup"] >= 2.0, f"one-step speedup only {row['speedup']:.2f}x"
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_iterative_pass_work_decays(engine_comparison, benchmark):
+def test_iterative_pass_work_decays(mode_runs, benchmark):
     """Delta-driven reuse: from the second pass on, at most 30% of the
-    first pass's waveform evaluations are issued (both engines)."""
+    first pass's waveform evaluations are issued."""
     row = next(
-        r
-        for r in engine_comparison["rows"]
-        if r["mode"] == AnalysisMode.ITERATIVE.value
+        r for r in mode_runs["rows"] if r["mode"] == AnalysisMode.ITERATIVE.value
     )
-    for engine, entry in row["engines"].items():
-        series = entry["pass_series"]
-        assert len(series) >= 2, f"{engine}: iterative converged in one pass"
-        first = series[0]["waveform_evaluations"]
-        for later in series[1:]:
-            assert later["waveform_evaluations"] <= 0.30 * first, (
-                f"{engine}: pass {later['index']} issued "
-                f"{later['waveform_evaluations']} of {first} evaluations"
-            )
+    series = row["engines"]["batch"]["pass_series"]
+    assert len(series) >= 2, "iterative converged in one pass"
+    first = series[0]["waveform_evaluations"]
+    for later in series[1:]:
+        assert later["waveform_evaluations"] <= 0.30 * first, (
+            f"pass {later['index']} issued "
+            f"{later['waveform_evaluations']} of {first} evaluations"
+        )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
@@ -323,14 +286,14 @@ def test_screened_conservative_in_every_mode(screened_comparison, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_batch_never_changes_the_bound_semantics(engine_comparison, benchmark):
-    """Mode ordering (best <= one-step <= worst) holds for the batch
-    engine's reported delays just as for the scalar reference."""
+def test_batch_never_changes_the_bound_semantics(mode_runs, benchmark):
+    """Mode ordering (best <= one-step <= worst) holds for the reported
+    delays."""
     delays = {
         row["mode"]: row["engines"]["batch"]["longest_delay"]
-        for row in engine_comparison["rows"]
+        for row in mode_runs["rows"]
     }
-    guard = engine_comparison["guard"]
+    guard = mode_runs["guard"]
     assert delays["best_case"] <= delays["one_step"] + guard
     assert delays["one_step"] <= delays["worst_case"] + guard
     assert delays["iterative"] <= delays["one_step"] + guard
@@ -339,7 +302,7 @@ def test_batch_never_changes_the_bound_semantics(engine_comparison, benchmark):
 
 @pytest.fixture(scope="module")
 def core_sweep(record_result, screened_comparison):
-    """Columnar vs object core across circuit scales, one-step mode.
+    """The columnar core across circuit scales, one-step mode.
 
     Ordered smallest scale first so the peak-RSS column (a process-wide
     high-water mark) is dominated by each row's own run.  Depends on
@@ -350,50 +313,38 @@ def core_sweep(record_result, screened_comparison):
         if sweep_scale > sweep_max:
             continue
         design = prepare_design(s35932_like(scale=sweep_scale))
-        per_core = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(
-                design,
-                StaConfig(mode=SWEEP_MODE, engine=Engine.BATCH, core=core),
-            )
-            t0 = time.perf_counter()
-            result = sta.run()
-            seconds = time.perf_counter() - t0
-            per_core[core.value] = {
-                "seconds": seconds,
-                "compile_seconds": result.compile_seconds,
-                "arcs_processed": result.arcs_processed,
-                "arcs_per_second": result.arcs_processed / seconds,
-                "longest_delay": result.longest_delay,
-                "peak_rss_mb": _peak_rss_mb(),
-            }
-        obj = per_core[Core.OBJECT.value]
-        col = per_core[Core.COLUMNAR.value]
+        sta = CrosstalkSTA(design, StaConfig(mode=SWEEP_MODE))
+        t0 = time.perf_counter()
+        result = sta.run()
+        seconds = time.perf_counter() - t0
+        columnar = {
+            "seconds": seconds,
+            "compile_seconds": result.compile_seconds,
+            "arcs_processed": result.arcs_processed,
+            "arcs_per_second": result.arcs_processed / seconds,
+            "longest_delay": result.longest_delay,
+            "peak_rss_mb": _peak_rss_mb(),
+        }
         rows.append(
             {
                 "scale": sweep_scale,
                 "mode": SWEEP_MODE.value,
-                "engine": Engine.BATCH.value,
-                "cores": per_core,
-                "speedup": obj["seconds"] / col["seconds"],
-                "delay_diff": abs(obj["longest_delay"] - col["longest_delay"]),
+                "cores": {"columnar": columnar},
             }
         )
 
     lines = [
-        "Columnar vs object core (s35932-like, one-step, batch engine)",
+        "Columnar core across scales (s35932-like, one-step)",
         "",
-        f"{'scale':>6} {'arcs':>7} {'object s':>9} {'columnar s':>11} "
-        f"{'speedup':>8} {'col arcs/s':>11} {'compile s':>10} {'rss MB':>8}",
-        "-" * 78,
+        f"{'scale':>6} {'arcs':>7} {'seconds':>9} {'arcs/s':>9} "
+        f"{'compile s':>10} {'rss MB':>8}",
+        "-" * 54,
     ]
     for row in rows:
-        obj = row["cores"]["object"]
         col = row["cores"]["columnar"]
         lines.append(
             f"{row['scale']:>6.2f} {col['arcs_processed']:>7} "
-            f"{obj['seconds']:>9.2f} {col['seconds']:>11.2f} "
-            f"{row['speedup']:>7.2f}x {col['arcs_per_second']:>11.0f} "
+            f"{col['seconds']:>9.2f} {col['arcs_per_second']:>9.0f} "
             f"{col['compile_seconds']:>10.3f} {col['peak_rss_mb']:>8.0f}"
         )
     record_result("perf_core_sweep", "\n".join(lines))
@@ -401,19 +352,11 @@ def core_sweep(record_result, screened_comparison):
     payload = json.loads(BENCH_JSON.read_text())
     payload["core_sweep"] = {
         "mode": SWEEP_MODE.value,
-        "engine": Engine.BATCH.value,
         "object_baseline_arcs_per_second": OBJECT_BASELINE_APS,
         "scales": rows,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     return rows
-
-
-def test_cores_agree_bitwise_at_every_scale(core_sweep, benchmark):
-    """The columnar core is strictly a layout change: same delays."""
-    for row in core_sweep:
-        assert row["delay_diff"] == 0.0, row["scale"]
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def test_columnar_meets_issue_target_at_full_scale(core_sweep, benchmark):

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Perf-trajectory guard: fresh bench vs the committed baseline.
 
-Runs one fresh tiny-scale analysis (the same circuit, scale, mode and
-engine as the committed ``BENCH_sta_runtime.json`` headline row) and
-diffs two numbers that should survive machine changes:
+Runs one fresh tiny-scale analysis (the same circuit, scale and mode as
+the committed ``BENCH_sta_runtime.json`` headline row) and diffs it
+against that mode's ``engines.batch`` row -- the batched solver over the
+columnar core, the one path the analysis has -- on two numbers that
+should survive machine changes:
 
 * ``arcs_per_second`` -- absolute throughput varies wildly between
   runners, so the guard only insists the fresh figure stays above a
@@ -49,15 +51,14 @@ def _pass2_reuse(engine_row: dict) -> float | None:
     return p2["reused_arcs"] / total
 
 
-def _fresh_measurement(scale: float, mode: str, engine: str, core: str) -> dict:
+def _fresh_measurement(scale: float, mode: str) -> dict:
     from repro.circuit import s35932_like
     from repro.core.analyzer import CrosstalkSTA
-    from repro.core.modes import AnalysisMode, Core, Engine, StaConfig
+    from repro.core.modes import AnalysisMode, StaConfig
     from repro.flow import prepare_design
 
     design = prepare_design(s35932_like(scale=scale))
-    config = StaConfig(mode=AnalysisMode(mode), engine=Engine(engine), core=Core(core))
-    sta = CrosstalkSTA(design, config)
+    sta = CrosstalkSTA(design, StaConfig(mode=AnalysisMode(mode)))
     t0 = time.perf_counter()
     result = sta.run()
     seconds = time.perf_counter() - t0
@@ -81,13 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         help="committed BENCH_sta_runtime.json to diff against",
     )
     parser.add_argument("--mode", default="iterative")
-    parser.add_argument("--engine", default="scalar")
-    parser.add_argument(
-        "--core",
-        default=None,
-        help="propagation core for the fresh run (default: the "
-        "baseline's recorded core, falling back to columnar)",
-    )
     parser.add_argument(
         "--aps-floor",
         type=float,
@@ -109,22 +103,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         committed = next(
             row for row in baseline["modes"] if row["mode"] == args.mode
-        )["engines"][args.engine]
+        )["engines"]["batch"]
     except (KeyError, StopIteration):
         print(
-            f"baseline has no {args.mode}/{args.engine} row; re-run "
+            f"baseline has no {args.mode}/batch row; re-run "
             "benchmarks/bench_perf_baseline.py to regenerate it",
             file=sys.stderr,
         )
         return 1
 
     scale = baseline.get("scale", 0.05)
-    core = args.core or baseline.get("core", "columnar")
     print(
         f"fresh run: {baseline.get('circuit', 's35932_like')} at scale "
-        f"{scale}, mode={args.mode}, engine={args.engine}, core={core} ..."
+        f"{scale}, mode={args.mode} ..."
     )
-    fresh = _fresh_measurement(scale, args.mode, args.engine, core)
+    fresh = _fresh_measurement(scale, args.mode)
 
     committed_aps = committed["arcs_per_second"]
     fresh_aps = fresh["arcs_per_second"]

@@ -39,7 +39,7 @@ from repro.circuit.generators import (
 )
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.explain import explain_result, format_explain, validate_explain
-from repro.core.modes import AnalysisMode, Engine, StaConfig, WindowCheck
+from repro.core.modes import AnalysisMode, StaConfig, WindowCheck
 from repro.core.netreport import format_net_report, rank_crosstalk_nets
 from repro.core.report import check_mode_ordering, format_table, format_timing_report
 from repro.errors import (
@@ -127,7 +127,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         mode=AnalysisMode(args.mode),
         window_check=WindowCheck(args.window_check),
         esperance=args.esperance,
-        engine=Engine(args.engine),
         workers=args.workers,
         arc_cache=args.arc_cache,
         incremental=not args.no_incremental,
@@ -279,7 +278,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     design = prepare_design(circuit)
     config = StaConfig(
         mode=AnalysisMode(args.mode),
-        engine=Engine(args.engine),
         solver_tier=args.solver_tier,
         screen_tolerance=args.screen_tolerance,
         screen_slack_margin=args.screen_slack_margin,
@@ -368,7 +366,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         mode=AnalysisMode(args.mode),
         window_check=WindowCheck(args.window_check),
         esperance=args.esperance,
-        engine=Engine(args.engine),
         workers=args.workers,
         arc_cache=args.arc_cache,
         incremental=not args.no_incremental,
@@ -556,16 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--esperance", action="store_true")
     analyze.add_argument(
-        "--engine",
-        choices=[e.value for e in Engine],
-        default=Engine.SCALAR.value,
-        help="waveform-evaluation backend (batch = vectorized level solver)",
-    )
-    analyze.add_argument(
         "--workers",
         type=int,
         default=0,
-        help="worker processes for the batch engine (0/1 = in-process)",
+        help="worker processes for the batched solver (0/1 = in-process)",
     )
     analyze.add_argument(
         "--arc-cache",
@@ -686,9 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=[m.value for m in AnalysisMode],
         default=AnalysisMode.ITERATIVE.value,
-    )
-    explain.add_argument(
-        "--engine", choices=[e.value for e in Engine], default=Engine.SCALAR.value
     )
     explain.add_argument(
         "--solver-tier", choices=["exact", "screened"], default="exact"
@@ -816,10 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=WindowCheck.QUIET.value,
     )
     serve.add_argument("--esperance", action="store_true")
-    serve.add_argument(
-        "--engine", choices=[e.value for e in Engine], default=Engine.SCALAR.value
-    )
-    serve.add_argument("--workers", type=int, default=0, help="batch-engine workers")
+    serve.add_argument("--workers", type=int, default=0, help="batched-solver workers")
     serve.add_argument("--arc-cache", metavar="FILE")
     serve.add_argument("--no-incremental", action="store_true")
     serve.add_argument("--strict", action="store_true")

@@ -24,7 +24,8 @@ import logging
 import os
 from typing import Iterable
 
-from repro.core.graph import Provenance, TimingState
+from repro.core.columnar import DIR_INDEX, ColumnTimingState, CompiledDesign
+from repro.core.graph import Provenance
 from repro.core.iterative import IterationRecord
 from repro.core.propagation import EndpointArrival, PassResult, Propagator
 from repro.core.provenance import ProvenanceLedger
@@ -110,24 +111,49 @@ def _encode_pass(result: PassResult) -> dict:
     }
 
 
-def _decode_pass(raw: dict) -> PassResult:
-    state = TimingState()
+def _decode_state(raw: dict, compiled: CompiledDesign) -> ColumnTimingState:
+    """Rebuild a pass's state columns over ``compiled``; a name the
+    compiled design does not know raises ``KeyError``."""
+    state = ColumnTimingState(compiled)
+    net_id = compiled.net_id
     for net, slot in raw["events"].items():
-        state.events[net] = {d: _decode_event(e) for d, e in slot.items()}
-    state.processed = set(raw["processed"])
+        i = net_id[net]
+        state.present[i] = True
+        for direction, encoded in slot.items():
+            event = _decode_event(encoded)
+            if event is not None:
+                state.set_event(
+                    DIR_INDEX[direction],
+                    i,
+                    event.t_cross,
+                    event.transition,
+                    event.t_early,
+                    event.t_late,
+                )
+    for net in raw["processed"]:
+        state.processed_mask[net_id[net]] = True
     for net, direction, cell, in_pin, in_net, in_direction, coupled, c_active in raw[
         "provenance"
     ]:
-        state.provenance[(net, direction)] = Provenance(
-            cell=cell,
-            in_pin=in_pin,
-            in_net=in_net,
-            in_direction=in_direction,
-            coupled=bool(coupled),
-            c_active=_unhex(c_active),
+        state.set_winner(
+            DIR_INDEX[direction],
+            net_id[net],
+            Provenance(
+                cell=cell,
+                in_pin=in_pin,
+                in_net=in_net,
+                in_direction=in_direction,
+                coupled=bool(coupled),
+                c_active=_unhex(c_active),
+            ),
         )
     for net, direction, row in raw.get("arc_prov", []):
-        state.arc_prov[(net, direction)] = row
+        state.aprov_row[DIR_INDEX[direction], net_id[net]] = row
+    return state
+
+
+def _decode_pass(raw: dict, compiled: CompiledDesign) -> PassResult:
+    state = _decode_state(raw, compiled)
     return PassResult(
         state=state,
         arrivals=[
@@ -196,17 +222,20 @@ class CheckpointManager:
     (design, config, library); a mismatch means the checkpoint describes
     a different problem and is ignored with a warning.
 
-    ``propagator`` (optional) lets the checkpoint carry the propagator's
-    per-arc provenance ledger and pass counter: the per-pass
-    ``arc_prov`` row indices are only meaningful against the ledger that
-    assigned them, so the two persist and restore together.
+    ``propagator`` is the propagator of the resumed run: restored pass
+    states decode into columns over its compiled design, and the
+    checkpoint carries its per-arc provenance ledger and pass counter
+    (the per-pass ``arc_prov`` row indices are only meaningful against
+    the ledger that assigned them, so the two persist and restore
+    together).
     """
 
     def __init__(
         self,
         path: str,
         fingerprint: str = "",
-        propagator: Propagator | None = None,
+        *,
+        propagator: Propagator,
     ):
         self.path = path
         self.fingerprint = fingerprint
@@ -226,7 +255,7 @@ class CheckpointManager:
             "converged": bool(converged),
         }
         propagator = self.propagator
-        if propagator is not None and len(propagator.ledger):
+        if len(propagator.ledger):
             body["ledger"] = propagator.ledger.to_payload()
             body["pass_count"] = propagator._pass_count
         blob = json.dumps(body, sort_keys=True)
@@ -271,15 +300,20 @@ class CheckpointManager:
         blob = json.dumps(body, sort_keys=True)
         if hashlib.sha256(blob.encode()).hexdigest() != payload.get("checksum"):
             return self._quarantine("content checksum mismatch")
+        propagator = self.propagator
+        compiled = propagator.compiled
         try:
             history = [_decode_record(r) for r in body["history"]]
-            current = _decode_pass(body["current"])
-            best = current if body["best"] is None else _decode_pass(body["best"])
+            current = _decode_pass(body["current"], compiled)
+            best = (
+                current
+                if body["best"] is None
+                else _decode_pass(body["best"], compiled)
+            )
             converged = bool(body["converged"])
         except (KeyError, TypeError, ValueError):
             return self._quarantine("malformed body")
-        propagator = self.propagator
-        if propagator is not None and "ledger" in body:
+        if "ledger" in body:
             try:
                 propagator.ledger = ProvenanceLedger.from_payload(body["ledger"])
             except (KeyError, TypeError, ValueError):

@@ -1,39 +1,33 @@
 """Columnar structure-of-arrays timing core.
 
-The object core (:mod:`repro.core.propagation`) walks per-object Python
-structures: every pass re-creates ``_ArcTask`` dataclasses, shifts
-:class:`~repro.waveform.ramp.RampEvent` objects through frozen-dataclass
-``replace`` calls, and keys its memo and state by interned strings.  At
-full benchmark scale (s35932/s38417/s38584 at scale 1.0) that per-arc
-object traffic dominates the runtime: the batched Newton solver is
-amortized to ~0.1 ms per distinct situation while the pass spends
-several times that gathering and re-boxing objects per *arc*.
-
-This module compiles a prepared design once per session into dense
-int32/float64 id arrays (:class:`CompiledDesign`) and keeps the per-pass
-timing data in numpy columns indexed by those ids
+The propagator (:mod:`repro.core.propagation`) does not walk per-object
+Python structures: at full benchmark scale (s35932/s38417/s38584 at
+scale 1.0) per-arc object traffic -- task objects, frozen-dataclass
+event copies, string-keyed dicts -- would dominate the runtime, because
+the batched Newton solver is amortized to ~0.1 ms per distinct
+situation.  Instead this module compiles a prepared design once per
+session into dense int32/float64 id arrays (:class:`CompiledDesign`) and
+keeps the per-pass timing data in numpy columns indexed by those ids
 (:class:`ColumnTimingState`):
 
 * **Id spaces.**  Nets, cells and timing arcs are interned into three
-  dense id ranges.  An *arc* is the static identity the object core
-  keys its delta-driven memo by -- ``(cell, input pin, input
-  direction)`` -- enumerated at compile time in exactly the order the
-  object core would create its ``_ArcTask`` list (levels in topological
-  order, cells name-sorted within a level, input pins in declaration
-  order, rising before falling; flip-flops enumerate by output
-  direction).  Ids are therefore stable across re-compiles of an
+  dense id ranges.  An *arc* is the static identity the delta-driven
+  memo and the slack result key by -- ``(cell, input pin, input
+  direction)`` -- enumerated at compile time in a fixed order (levels in
+  topological order, cells name-sorted within a level, input pins in
+  declaration order, rising before falling; flip-flops enumerate by
+  output direction).  Ids are therefore stable across re-compiles of an
   identical circuit.
 * **CSR level index.**  ``level_indptr`` slices the arc arrays into one
   contiguous slab per topological level, so a pass processes each level
-  with vectorized slab operations instead of gathered objects.  The
-  coupling neighbours of every net are a second CSR
-  (``coup_indptr``/``coup_net``/``coup_cap``) preserving the extraction
-  dict's order, which keeps the float accumulation order of
-  :func:`~repro.waveform.coupling.aggregate_load` bit-identical.
-* **Dirty masks.**  The incremental engine's per-arc memo becomes a set
-  of parallel columns (``memo_valid``/``memo_tt``/``memo_load``/...);
-  fingerprint comparison is one vectorized exact-equality compare over
-  the level slab, and the dirty set is the resulting boolean mask.
+  with vectorized slab operations.  The coupling neighbours of every net
+  are a second CSR (``coup_indptr``/``coup_net``/``coup_cap``)
+  preserving the extraction dict's order, which keeps the float
+  accumulation order of :func:`~repro.waveform.coupling.aggregate_load`.
+* **Dirty masks.**  The incremental engine's per-arc memo is a set of
+  parallel columns; fingerprint comparison is one vectorized
+  exact-equality compare over the level slab, and the dirty set is the
+  resulting boolean mask.
 * **State columns.**  Arrival events live in ``(2, n_nets)`` float64
   columns (rising row 0, falling row 1) plus validity masks;
   ``quiet_snapshot()``/``window_snapshot()`` are O(1) views over these
@@ -42,9 +36,8 @@ timing data in numpy columns indexed by those ids
 The object API -- ``state.events`` / ``state.processed`` /
 ``state.provenance`` / ``state.arc_prov`` and per-net
 :class:`RampEvent` access -- stays available as thin lazy views, so the
-service, explain, report and checkpoint layers run unchanged on either
-core.  The exact tier is ``float.hex()``-identical to the object core in
-all five analysis modes (pinned by ``tests/test_core_engine_equivalence``).
+service, explain, report and checkpoint layers read the columns through
+the same interface as a plain :class:`~repro.core.graph.TimingState`.
 """
 
 from __future__ import annotations
@@ -95,7 +88,6 @@ class CompiledDesign:
         coup_counts = np.zeros(n_nets, dtype=np.int64)
         coup_net_rows: list[list[int]] = [[] for _ in range(n_nets)]
         coup_cap_rows: list[list[float]] = [[] for _ in range(n_nets)]
-        coup_name_rows: list[list[str]] = [[] for _ in range(n_nets)]
         for name, net in circuit.nets.items():
             i = self.net_id[name]
             self.net_is_clock[i] = net.is_clock
@@ -109,19 +101,16 @@ class CompiledDesign:
             for other, cap in load.couplings.items():
                 coup_net_rows[i].append(self.net_id.get(other, -1))
                 coup_cap_rows[i].append(cap)
-                coup_name_rows[i].append(other)
         self.coup_indptr = np.zeros(n_nets + 1, dtype=np.int64)
         np.cumsum(coup_counts, out=self.coup_indptr[1:])
         nnz = int(self.coup_indptr[-1])
         self.coup_net = np.empty(nnz, dtype=np.int64)
         self.coup_cap = np.empty(nnz, dtype=np.float64)
-        self.coup_name: list[str] = []
         for i in range(n_nets):
             lo = int(self.coup_indptr[i])
             hi = int(self.coup_indptr[i + 1])
             self.coup_net[lo:hi] = coup_net_rows[i]
             self.coup_cap[lo:hi] = coup_cap_rows[i]
-            self.coup_name.extend(coup_name_rows[i])
 
         # -- cell id space (flattened topological levels) -------------------
         self.levels = evaluation_levels(circuit)
@@ -139,7 +128,7 @@ class CompiledDesign:
         self.cell_clk_to_q = np.zeros(n_cells, dtype=np.float64)
         self.cell_clk_terminal: list[str | None] = [None] * n_cells
 
-        # -- arc table (object-core task order) -----------------------------
+        # -- arc table ------------------------------------------------------
         arc_cell: list[int] = []
         arc_out_net: list[int] = []
         arc_in_net: list[int] = []
@@ -220,8 +209,8 @@ class CompiledDesign:
             self.coup_indptr[self.arc_out_net + 1]
             - self.coup_indptr[self.arc_out_net]
         )
-        # Memo-identity index: the object core's (cell, pin, direction)
-        # memo key of each arc id (warm-start migration across designs).
+        # Memo-identity index: the (cell, pin, direction) key of each arc
+        # id (warm-start migration across designs, checkpoint decoding).
         self.arc_key_index: dict[tuple[str, str, str], int] = {}
         for a in range(self.n_arcs):
             cell = self.cells[self.arc_cell[a]]
@@ -338,8 +327,7 @@ class _ProvenanceView(Mapping):
 
     Winners are stored as arc ids plus the per-win dynamic fields
     (coupled flag, input direction); the :class:`Provenance` object is
-    materialized on access.  ``overrides`` holds entries copied from a
-    non-columnar previous state (checkpoint resume).
+    materialized on access.
     """
 
     __slots__ = ("_state",)
@@ -364,9 +352,6 @@ class _ProvenanceView(Mapping):
 
     def get(self, key, default=None):
         state = self._state
-        override = state.prov_overrides.get(key)
-        if override is not None:
-            return override
         net = state.compiled.net_id.get(key[0])
         d = DIR_INDEX.get(key[1])
         if net is None or d is None:
@@ -383,15 +368,11 @@ class _ProvenanceView(Mapping):
     def __iter__(self) -> Iterator[tuple[str, str]]:
         state = self._state
         names = state.compiled.net_names
-        seen = set(state.prov_overrides)
-        yield from state.prov_overrides
         for d, net in zip(*np.nonzero(state.win_arc >= 0)):
-            key = (names[net], DIRECTIONS[d])
-            if key not in seen:
-                yield key
+            yield (names[net], DIRECTIONS[d])
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return int((self._state.win_arc >= 0).sum())
 
 
 class _ArcProvView(Mapping):
@@ -507,20 +488,20 @@ class WindowSnapshotView(Mapping):
 
 
 class ColumnTimingState:
-    """Column-backed drop-in for :class:`repro.core.graph.TimingState`.
+    """Per-pass timing data of the propagator, held in columns.
 
     Events are ``(2, n_nets)`` float64 columns (row 0 rising, row 1
-    falling) plus boolean validity/presence masks; the object API
-    (``events``/``processed``/``provenance``/``arc_prov``, ``event()``,
-    the snapshot methods) is served by thin lazy views so every
-    downstream consumer -- checkpoints, the explain engine, reports,
-    the service layer -- works unchanged.
+    falling) plus boolean validity/presence masks; the object API of
+    :class:`repro.core.graph.TimingState` (``events``/``processed``/
+    ``provenance``/``arc_prov``, ``event()``, the snapshot methods) is
+    served by thin lazy views for the downstream consumers -- checkpoints,
+    the explain engine, reports, the service layer.
     """
 
     def __init__(self, compiled: CompiledDesign):
         self.compiled = compiled
         n = compiled.n_nets
-        # Slot exists (the object core's ``net in state.events``).
+        # Slot exists (``net in state.events``).
         self.present = np.zeros(n, dtype=bool)
         # Event per (direction, net); masked by ``valid``.
         self.valid = np.zeros((2, n), dtype=bool)
@@ -534,9 +515,6 @@ class ColumnTimingState:
         self.win_prov_dir = np.zeros((2, n), dtype=np.int8)
         self.win_coupled = np.zeros((2, n), dtype=bool)
         self.aprov_row = np.full((2, n), -1, dtype=np.int64)
-        # Provenance entries copied from a non-columnar previous state
-        # (checkpoint resume); consulted before the winner arrays.
-        self.prov_overrides: dict[tuple[str, str], Provenance] = {}
         # Materialized-event memo (cleared per slot on write).
         self._ev_cache: dict[tuple[int, int], RampEvent] = {}
 
@@ -616,45 +594,35 @@ class ColumnTimingState:
         self.ev_tl[d, net] = t_late
         self._ev_cache.pop((d, net), None)
 
-    def copy_net_from(self, prev: "ColumnTimingState | object", net: int) -> None:
+    def set_winner(self, d: int, net: int, prov: Provenance) -> None:
+        """Record the arc ``prov`` describes as the winner of slot
+        ``(d, net)`` -- the inverse of the ``provenance`` view, used when
+        decoding a checkpoint."""
+        compiled = self.compiled
+        if compiled.cell_is_ff[compiled.cell_id[prov.cell]]:
+            # Flip-flop arcs key by the internal launch pin, whose input
+            # direction is the opposite of the output's.
+            key = (prov.cell, "A", DIRECTIONS[1 - d])
+        else:
+            key = (prov.cell, prov.in_pin, prov.in_direction)
+        self.win_arc[d, net] = compiled.arc_key_index[key]
+        self.win_prov_dir[d, net] = DIR_INDEX[prov.in_direction]
+        self.win_coupled[d, net] = prov.coupled
+
+    def copy_net_from(self, prev: "ColumnTimingState", net: int) -> None:
         """Adopt one net's previous-pass events, provenance and ledger
-        row (the Esperance / screened-refinement copy path).  ``prev``
-        may be a columnar state over the same compiled design or a plain
-        :class:`TimingState` (checkpoint resume)."""
-        name = self.compiled.net_names[net]
-        if isinstance(prev, ColumnTimingState):
-            self.present[net] = True
-            for d in (0, 1):
-                self.valid[d, net] = prev.valid[d, net]
-                self.ev_tc[d, net] = prev.ev_tc[d, net]
-                self.ev_tr[d, net] = prev.ev_tr[d, net]
-                self.ev_te[d, net] = prev.ev_te[d, net]
-                self.ev_tl[d, net] = prev.ev_tl[d, net]
-                self.win_arc[d, net] = prev.win_arc[d, net]
-                self.win_prov_dir[d, net] = prev.win_prov_dir[d, net]
-                self.win_coupled[d, net] = prev.win_coupled[d, net]
-                self.aprov_row[d, net] = prev.aprov_row[d, net]
-                self._ev_cache.pop((d, net), None)
-                key = (name, DIRECTIONS[d])
-                override = prev.prov_overrides.get(key)
-                if override is not None:
-                    self.prov_overrides[key] = override
-            self.processed_mask[net] = True
-            return
-        # Plain TimingState: decode the dict layout into columns.
-        slot = prev.events[name]
+        row (the Esperance / screened-refinement copy path); ``prev`` is
+        a state over the same compiled design."""
         self.present[net] = True
-        for d, direction in enumerate(DIRECTIONS):
-            event = slot.get(direction)
-            if event is not None:
-                self.set_event(
-                    d, net, event.t_cross, event.transition,
-                    event.t_early, event.t_late,
-                )
-            prov = prev.provenance.get((name, direction))
-            if prov is not None:
-                self.prov_overrides[(name, direction)] = prov
-            row = prev.arc_prov.get((name, direction))
-            if row is not None:
-                self.aprov_row[d, net] = row
+        for d in (0, 1):
+            self.valid[d, net] = prev.valid[d, net]
+            self.ev_tc[d, net] = prev.ev_tc[d, net]
+            self.ev_tr[d, net] = prev.ev_tr[d, net]
+            self.ev_te[d, net] = prev.ev_te[d, net]
+            self.ev_tl[d, net] = prev.ev_tl[d, net]
+            self.win_arc[d, net] = prev.win_arc[d, net]
+            self.win_prov_dir[d, net] = prev.win_prov_dir[d, net]
+            self.win_coupled[d, net] = prev.win_coupled[d, net]
+            self.aprov_row[d, net] = prev.aprov_row[d, net]
+            self._ev_cache.pop((d, net), None)
         self.processed_mask[net] = True

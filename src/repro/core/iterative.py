@@ -35,7 +35,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from repro.core.graph import TimingState
 from repro.core.propagation import PassResult, Propagator
 from repro.flow.design import Design
 from repro.waveform.pwl import FALLING, RISING, opposite

@@ -27,34 +27,41 @@ from repro.waveform.stage import StageSolver, StageSolverError
 def newton_failures(rate: float = 1.0, seed: int = 0):
     """Make a deterministic fraction of stage solves fail.
 
-    Both the scalar and the batch solver entry points are patched: each
-    call draws from one seeded stream and raises
+    The serial solver and both batch solver entry points are patched:
+    each call draws from one seeded stream and raises
     :class:`StageSolverError` (the taxonomy's ``SolverError``) with
-    probability ``rate``.  Because the analysis evaluates arcs in a
+    probability ``rate``.  A failed batch falls back to per-arc serial
+    solves, which draw again.  Because the analysis evaluates arcs in a
     deterministic order, a given ``(rate, seed)`` always fails the same
     arcs.
     """
     rng = random.Random(seed)
-    original_solve = StageSolver.solve
-    original_solve_many = BatchStageSolver.solve_many
+    originals = {
+        (StageSolver, "solve"): StageSolver.solve,
+        (BatchStageSolver, "solve_many"): BatchStageSolver.solve_many,
+        (BatchStageSolver, "solve_many_compact"): BatchStageSolver.solve_many_compact,
+    }
 
-    def failing_solve(self, *args, **kwargs):
-        if rng.random() < rate:
-            raise StageSolverError("injected Newton failure")
-        return original_solve(self, *args, **kwargs)
+    def failing(original, message):
+        def solve(self, *args, **kwargs):
+            if rng.random() < rate:
+                raise StageSolverError(message)
+            return original(self, *args, **kwargs)
 
-    def failing_solve_many(self, *args, **kwargs):
-        if rng.random() < rate:
-            raise StageSolverError("injected Newton failure (batch)")
-        return original_solve_many(self, *args, **kwargs)
+        return solve
 
-    StageSolver.solve = failing_solve
-    BatchStageSolver.solve_many = failing_solve_many
+    for (cls, name), original in originals.items():
+        message = (
+            "injected Newton failure"
+            if cls is StageSolver
+            else "injected Newton failure (batch)"
+        )
+        setattr(cls, name, failing(original, message))
     try:
         yield
     finally:
-        StageSolver.solve = original_solve
-        BatchStageSolver.solve_many = original_solve_many
+        for (cls, name), original in originals.items():
+            setattr(cls, name, original)
 
 
 @contextmanager

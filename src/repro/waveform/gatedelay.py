@@ -21,14 +21,16 @@ what a per-(cell, pin) solve would have produced.  The small
 non-conservative error quantization leaves on the early-activity marker
 is covered by the STA's comparison guard band (``StaConfig.guard``).
 
-Two evaluation backends fill the cache:
+Two solvers fill the cache:
 
-* the scalar :class:`~repro.waveform.stage.StageSolver` (reference), one
-  arc at a time, and
 * the vectorized :class:`~repro.waveform.batchstage.BatchStageSolver`,
-  used by :meth:`GateDelayCalculator.prime_arcs` to integrate all distinct
-  situations of a batch simultaneously -- optionally fanned out over a
-  ``ProcessPoolExecutor`` for multi-core scaling.
+  used by :meth:`GateDelayCalculator.prime_keys` to integrate all
+  distinct situations of a batch simultaneously -- optionally fanned out
+  over a ``ProcessPoolExecutor`` for multi-core scaling -- and
+* the serial :class:`~repro.waveform.stage.StageSolver`, one arc at a
+  time, for batches too small to amortize the vectorized setup and for
+  lookups that were not primed.  It is also the bitwise oracle the batch
+  solver is tested against.
 
 The cache can persist across runs (:meth:`save_cache_file` /
 :meth:`load_cache_file`): a JSON file keyed by a fingerprint of the
@@ -90,7 +92,7 @@ logger = logging.getLogger("repro.waveform.gatedelay")
 CACHE_FORMAT = 3
 
 # Below this many distinct situations a batched solve does not amortize
-# its setup; fall through to the scalar reference path.
+# its setup; fall through to the serial solver.
 MIN_BATCH = 4
 
 
@@ -310,7 +312,6 @@ class GateDelayCalculator:
         transition_grid: float = 2e-12,
         cap_grid: float = 0.2e-15,
         table_points: int = 121,
-        engine: str = "scalar",
         workers: int = 0,
         metrics: MetricsRegistry | None = None,
         strict: bool = False,
@@ -324,7 +325,6 @@ class GateDelayCalculator:
         self.transition_grid = transition_grid
         self.cap_grid = cap_grid
         self.table_points = table_points
-        self.engine = engine
         self.workers = workers
         # Fault-tolerance policy: ``strict`` restores fail-fast solves and
         # turns corrupt-cache quarantine into a CacheError; the worker
@@ -644,7 +644,7 @@ class GateDelayCalculator:
     def resolve_key(self, key: tuple, force_exact: bool = False) -> ArcResult:
         """Resolve one *pre-quantized* canonical key.
 
-        The columnar core computes quantized keys in bulk (vectorized
+        The propagator computes quantized keys in bulk (vectorized
         ceil over a level slab) and resolves them here, skipping the
         per-arc :class:`ArcRequest` construction; the cache-probe /
         screen / solve logic and every counter are identical to
@@ -907,60 +907,27 @@ class GateDelayCalculator:
     # -- batched priming ------------------------------------------------------
 
     def prime_arcs(self, requests: Sequence[ArcRequest]) -> int:
-        """Ensure every request's quantized situation is cached.
-
-        Deduplicates the requests through the quantized arc key, then
-        solves the distinct misses -- with the batch engine in one
-        vectorized call (optionally fanned out over worker processes)
-        when configured, falling back to the scalar reference solver for
-        tiny batches or ``engine="scalar"``.  Returns the number of
-        situations actually solved.
-
-        Under the screened solver tier each miss is screened here, on
-        the parent side, and only the escalated (or ``force_exact``)
-        situations reach the batch/pool Newton solve.
-        """
-        misses: list[tuple] = []
-        seen: set[tuple] = set()
-        screen = self._screen
-        for request in requests:
-            key = self._quantized_key(request)
-            if key in self._arc_cache or key in seen:
-                continue
-            if screen is not None and not request.aiding and not request.quantize_down:
-                if request.force_exact:
-                    self._c_escalations["slack"].inc()
-                    self._key_escalation[key] = "slack"
-                elif key in self._screen_cache:
-                    continue
-                else:
-                    t0 = time.perf_counter()
-                    outcome = screen.estimate(key)
-                    if outcome.tier is not None:
-                        arc = self._screen_arc(key, outcome.fields)
-                        self._screen_cache[key] = (arc, outcome.tier)
-                        self._c_tier[outcome.tier].inc()
-                        self._c_tier_seconds[outcome.tier].inc(
-                            time.perf_counter() - t0
-                        )
-                        continue
-                    self._c_escalations[outcome.reason].inc()
-                    self._key_escalation[key] = outcome.reason
-                    self._c_tier_seconds["newton"].inc(time.perf_counter() - t0)
-            seen.add(key)
-            misses.append(key)
-        return self._solve_misses(misses)
+        """Ensure every request's quantized situation is cached: the
+        request-object front end of :meth:`prime_keys`.  Returns the
+        number of situations actually solved."""
+        return self.prime_keys(
+            [(self._quantized_key(request), request.force_exact) for request in requests]
+        )
 
     def prime_keys(self, entries: Sequence[tuple[tuple, bool]]) -> int:
         """Ensure every *pre-quantized* ``(key, force_exact)`` situation
         is cached.
 
-        The columnar core's bulk counterpart of :meth:`prime_arcs`:
-        quantization already happened in vectorized form, so this skips
-        request construction and goes straight to the dedup / screen /
-        batch-solve logic, which is kept identical (first-seen dedup
-        order, slack/screen escalation accounting, engine branching).
-        ``quantize_down`` keys must not be primed through this path.
+        Deduplicates the keys (first-seen order), then solves the
+        distinct misses in one vectorized call -- fanned out over worker
+        processes when configured -- or serially when there are fewer
+        than ``MIN_BATCH`` of them.  Returns the number of situations
+        actually solved.
+
+        Under the screened solver tier each miss is screened here, on
+        the parent side, and only the escalated (or ``force_exact``)
+        situations reach the Newton solve.  ``quantize_down`` keys must
+        not be primed: their min-delay semantics bypass the screen.
         """
         misses: list[tuple] = []
         seen: set[tuple] = set()
@@ -997,7 +964,7 @@ class GateDelayCalculator:
         if not misses:
             return 0
         t0 = time.perf_counter()
-        if self.engine != "batch" or len(misses) < MIN_BATCH:
+        if len(misses) < MIN_BATCH:
             for key in misses:
                 self._arc_cache[key] = self._solve_key(key)
         elif self.workers >= 2 and len(misses) >= 2 * MIN_BATCH:

@@ -55,19 +55,18 @@ class TestParser:
 
     def test_engine_defaults(self):
         args = build_parser().parse_args(["analyze", "s27"])
-        assert args.engine == "scalar"
+        assert not hasattr(args, "engine")
         assert args.workers == 0
         assert args.arc_cache is None
         assert not args.timing_report
 
     def test_engine_choices(self):
-        args = build_parser().parse_args(
-            ["analyze", "s27", "--engine", "batch", "--workers", "2"]
-        )
-        assert args.engine == "batch"
+        """One solver engine: ``--workers`` remains, and no analysis
+        command offers an engine choice any more."""
+        args = build_parser().parse_args(["analyze", "s27", "--workers", "2"])
         assert args.workers == 2
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["analyze", "s27", "--engine", "turbo"])
+        for argv in (["analyze", "s27"], ["explain", "s27"], ["serve"], ["repair", "s27"]):
+            assert not hasattr(build_parser().parse_args(argv), "engine"), argv[0]
 
 
 class TestInfo:
@@ -148,7 +147,7 @@ class TestAnalyze:
 
 class TestBatchEngineFlags:
     def test_batch_engine_run(self, capsys):
-        assert main(["analyze", "s27", "--mode", "one_step", "--engine", "batch"]) == 0
+        assert main(["analyze", "s27", "--mode", "one_step"]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out
 
@@ -159,8 +158,6 @@ class TestBatchEngineFlags:
                 "s27",
                 "--mode",
                 "one_step",
-                "--engine",
-                "batch",
                 "--timing-report",
             ]
         ) == 0

@@ -1,74 +1,117 @@
-"""Scalar vs batch engine: end-to-end equivalence.
+"""The solver engine and the propagation core against frozen results.
 
-The batch engine is strictly a performance feature: its longest-path
-delay bounds must match the scalar reference within the quantization
-guard band on every analysis mode (in practice they agree bitwise,
-because both engines fill the same quantized arc cache with identical
-numerics and share all decision logic).
+The analysis once carried two reference implementations beside the
+batched solver and the columnar propagation core: a per-arc scalar
+engine and a per-object core.  All three were ``float.hex()``-identical
+in every mode when the references were deleted, and their results are
+frozen in ``tests/golden/sta.json`` (regenerate with
+``tests/golden/make_sta.py``).  These tests pin that the one engine and
+the one core still produce exactly those numbers -- longest delay, every
+endpoint arrival, every pass's accounting, the provenance ledger and the
+slack -- for ``s27`` and ``gen:s35932`` at scale 0.05, and in every
+composition: incremental reuse on and off, checkpoint resume, warm start,
+the screened tier and the worker pool.
 """
+
+import json
 
 import pytest
 
 from repro.circuit import s27
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, Core, Engine, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, SolverTier, StaConfig
+from repro.core.slack import compute_slack
 from repro.flow import prepare_design
 from repro.testing import newton_failures
+from tests.golden.make_sta import (
+    DESIGNS,
+    FIXTURE_PATH,
+    arrival_hexes,
+    design_for,
+    digest,
+    pass_rows,
+    slack_entry,
+)
+
+with open(FIXTURE_PATH) as _handle:
+    GOLDEN = json.load(_handle)["circuits"]
+
+
+def _periods(name):
+    return DESIGNS[name][2]
 
 
 @pytest.fixture(scope="module")
-def s27_design():
-    return prepare_design(s27())
+def designs():
+    return {name: design_for(name) for name in DESIGNS}
 
 
 @pytest.fixture(scope="module")
-def results(s27_design):
+def s27_design(designs):
+    return designs["s27"]
+
+
+@pytest.fixture(scope="module")
+def results(designs):
+    """Every design in every mode, run the way the fixture was made: one
+    analyzer per design, modes in ``AnalysisMode`` order."""
     out = {}
-    for engine in (Engine.SCALAR, Engine.BATCH):
-        sta = CrosstalkSTA(s27_design, StaConfig(engine=engine))
-        out[engine] = {mode: sta.run(mode) for mode in AnalysisMode}
+    for name, design in designs.items():
+        sta = CrosstalkSTA(design, StaConfig())
+        out[name] = {mode: sta.run(mode) for mode in AnalysisMode}
     return out
 
 
+def _golden(name, mode):
+    return GOLDEN[name]["modes"][mode.value]
+
+
+def _assert_matches_mode(name, mode, result):
+    """Longest delay, critical endpoint and every arrival hex-equal."""
+    golden = _golden(name, mode)
+    assert float(result.longest_delay).hex() == golden["longest_delay"], name
+    assert result.critical_endpoint == golden["critical_endpoint"], name
+    assert result.critical_direction == golden["critical_direction"], name
+    assert arrival_hexes(result) == golden["arrivals"], name
+
+
 class TestEngineEquivalence:
+    """The batched solver against the frozen scalar-engine results."""
+
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_longest_delay_within_guard(self, results, mode):
-        guard = StaConfig().guard
-        scalar = results[Engine.SCALAR][mode]
-        batch = results[Engine.BATCH][mode]
-        assert abs(scalar.longest_delay - batch.longest_delay) <= guard
-        assert scalar.critical_endpoint == batch.critical_endpoint
-        assert scalar.critical_direction == batch.critical_direction
+    def test_longest_delay_bit_identical(self, results, mode):
+        for name, by_mode in results.items():
+            golden = _golden(name, mode)
+            result = by_mode[mode]
+            assert float(result.longest_delay).hex() == golden["longest_delay"], name
+            assert result.critical_endpoint == golden["critical_endpoint"], name
+            assert result.critical_direction == golden["critical_direction"], name
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
     def test_every_endpoint_arrival_matches(self, results, mode):
-        scalar = results[Engine.SCALAR][mode].arrival_map()
-        batch = results[Engine.BATCH][mode].arrival_map()
-        assert set(scalar) == set(batch)
-        guard = StaConfig().guard
-        for key in scalar:
-            assert abs(scalar[key] - batch[key]) <= guard, key
+        for name, by_mode in results.items():
+            assert arrival_hexes(by_mode[mode]) == _golden(name, mode)["arrivals"], name
 
     def test_same_evaluation_accounting(self, results):
-        """Both engines walk the same arcs and make the same decisions."""
-        for mode in AnalysisMode:
-            scalar = results[Engine.SCALAR][mode]
-            batch = results[Engine.BATCH][mode]
-            assert scalar.arcs_processed == batch.arcs_processed
-            assert scalar.waveform_evaluations == batch.waveform_evaluations
-            assert scalar.coupled_arcs == batch.coupled_arcs
-            assert scalar.passes == batch.passes
+        """The same arcs are walked and the same decisions made."""
+        for name, by_mode in results.items():
+            for mode, result in by_mode.items():
+                golden = _golden(name, mode)
+                assert result.arcs_processed == golden["arcs_processed"], name
+                assert result.waveform_evaluations == golden["waveform_evaluations"]
+                assert result.coupled_arcs == golden["coupled_arcs"], name
+                assert result.passes == len(golden["passes"]), name
 
     def test_batch_engine_used_vectorized_solves(self, results):
-        stats = results[Engine.BATCH][AnalysisMode.ITERATIVE].cache_stats
+        stats = results["s27"][AnalysisMode.ITERATIVE].cache_stats
         assert stats["batched_solves"] > 0
 
 
 class TestIncrementalEquivalence:
     """Delta-driven reuse must be invisible in the numbers: the memoized
     relative results re-anchor to exactly what a fresh solve would
-    return, so every mode's bound is bit-identical (hex-equal), not
-    merely within tolerance."""
+    return, so with the memo on or off every mode reproduces the frozen
+    bound, pass by pass and endpoint by endpoint."""
 
     @pytest.fixture(scope="class")
     def pair(self, s27_design):
@@ -80,25 +123,25 @@ class TestIncrementalEquivalence:
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
     def test_longest_delay_bit_identical(self, pair, mode):
-        inc, full = pair[True][mode], pair[False][mode]
-        assert inc.longest_delay.hex() == full.longest_delay.hex()
-        assert inc.critical_endpoint == full.critical_endpoint
-        assert inc.critical_direction == full.critical_direction
+        golden = _golden("s27", mode)
+        for incremental in (True, False):
+            result = pair[incremental][mode]
+            assert float(result.longest_delay).hex() == golden["longest_delay"]
+            assert result.critical_endpoint == golden["critical_endpoint"]
+            assert result.critical_direction == golden["critical_direction"]
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
     def test_every_pass_bit_identical(self, pair, mode):
-        inc, full = pair[True][mode], pair[False][mode]
-        assert len(inc.history) == len(full.history)
-        for ri, rf in zip(inc.history, full.history):
-            assert ri.longest_delay.hex() == rf.longest_delay.hex()
+        golden = [row["longest_delay"] for row in _golden("s27", mode)["passes"]]
+        for incremental in (True, False):
+            history = pair[incremental][mode].history
+            assert [float(r.longest_delay).hex() for r in history] == golden
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
     def test_every_endpoint_arrival_bit_identical(self, pair, mode):
-        inc = pair[True][mode].arrival_map()
-        full = pair[False][mode].arrival_map()
-        assert set(inc) == set(full)
-        for key in inc:
-            assert inc[key].hex() == full[key].hex(), key
+        golden = _golden("s27", mode)["arrivals"]
+        for incremental in (True, False):
+            assert arrival_hexes(pair[incremental][mode]) == golden
 
     def test_iterative_later_passes_reuse(self, pair):
         """Once windows and ramp shapes stabilize, later passes skip the
@@ -184,7 +227,9 @@ class TestSolverTierEquivalence:
             )
             results[incremental] = sta.run()
         inc, full = results[True], results[False]
-        assert inc.longest_delay.hex() == full.longest_delay.hex()
+        golden = GOLDEN["s27"]["compositions"]["screened"]["iterative"]
+        assert inc.longest_delay.hex() == golden["longest_delay"]
+        assert full.longest_delay.hex() == golden["longest_delay"]
         assert inc.critical_endpoint == full.critical_endpoint
         assert any(record.reused_arcs > 0 for record in inc.history[1:])
         assert all(record.reused_arcs == 0 for record in full.history)
@@ -202,15 +247,17 @@ class TestSolverTierEquivalence:
         )
         straight = CrosstalkSTA(s27_design, config).run()
         resumed = CrosstalkSTA(s27_design, config).run()
-        assert resumed.longest_delay.hex() == straight.longest_delay.hex()
+        golden = GOLDEN["s27"]["compositions"]["screened"]["iterative"]
+        assert straight.longest_delay.hex() == golden["longest_delay"]
+        assert resumed.longest_delay.hex() == golden["longest_delay"]
         exact_config = StaConfig(
             mode=AnalysisMode.ITERATIVE, checkpoint=str(path)
         )
         exact = CrosstalkSTA(s27_design, exact_config).run()
-        reference = CrosstalkSTA(
-            s27_design, StaConfig(mode=AnalysisMode.ITERATIVE)
-        ).run()
-        assert exact.longest_delay.hex() == reference.longest_delay.hex()
+        assert (
+            exact.longest_delay.hex()
+            == _golden("s27", AnalysisMode.ITERATIVE)["longest_delay"]
+        )
 
     def test_screened_composes_with_degradation(self, s27_design):
         """Degraded (fault-substituted) solves stay out of the screen
@@ -233,160 +280,121 @@ class TestSolverTierEquivalence:
 
 class TestWorkerPool:
     def test_pooled_batch_matches_scalar(self, s27_design):
-        """Opt-in multi-process fan-out produces the same bound."""
-        scalar = CrosstalkSTA(s27_design, StaConfig(engine=Engine.SCALAR)).run(
-            AnalysisMode.ONE_STEP
-        )
-        sta = CrosstalkSTA(
-            s27_design, StaConfig(engine=Engine.BATCH, workers=2)
-        )
+        """Opt-in multi-process fan-out reproduces the frozen bound."""
+        sta = CrosstalkSTA(s27_design, StaConfig(workers=2))
         pooled = sta.run(AnalysisMode.ONE_STEP)
         sta.calculator.close()
-        assert abs(scalar.longest_delay - pooled.longest_delay) <= StaConfig().guard
+        _assert_matches_mode("s27", AnalysisMode.ONE_STEP, pooled)
 
 
 class TestColumnarCoreEquivalence:
-    """Columnar vs object core: the structure-of-arrays core is strictly
-    a performance feature, so the exact tier must be ``float.hex()``-
-    identical -- every endpoint arrival, every pass, every counter --
-    in all five modes and in every composition (incremental on/off,
-    checkpointed resume, screened tier)."""
-
-    @pytest.fixture(scope="class")
-    def core_pair(self, s27_design):
-        out = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(s27_design, StaConfig(core=core))
-            out[core] = {mode: sta.run(mode) for mode in AnalysisMode}
-        return out
+    """The columnar core against the frozen object-core results: every
+    arrival, the accounting, every pass, the provenance ledger and the
+    slack, in all five modes and in
+    every composition (incremental on/off, checkpoint resume, warm
+    start, screened tier)."""
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_arrivals_bit_identical(self, core_pair, mode):
-        obj = core_pair[Core.OBJECT][mode].arrival_map()
-        col = core_pair[Core.COLUMNAR][mode].arrival_map()
-        assert set(obj) == set(col)
-        for key in obj:
-            assert obj[key].hex() == col[key].hex(), key
+    def test_arrivals_bit_identical(self, results, mode):
+        for name, by_mode in results.items():
+            golden = _golden(name, mode)["arrivals"]
+            arrivals = arrival_hexes(by_mode[mode])
+            assert set(arrivals) == set(golden), name
+            for key in golden:
+                assert arrivals[key] == golden[key], (name, key)
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_longest_delay_and_accounting_identical(self, core_pair, mode):
-        obj = core_pair[Core.OBJECT][mode]
-        col = core_pair[Core.COLUMNAR][mode]
-        assert obj.longest_delay.hex() == col.longest_delay.hex()
-        assert obj.critical_endpoint == col.critical_endpoint
-        assert obj.critical_direction == col.critical_direction
-        assert obj.arcs_processed == col.arcs_processed
-        assert obj.waveform_evaluations == col.waveform_evaluations
-        assert obj.coupled_arcs == col.coupled_arcs
-        assert obj.passes == col.passes
+    def test_longest_delay_and_accounting_identical(self, results, mode):
+        for name, by_mode in results.items():
+            result = by_mode[mode]
+            golden = _golden(name, mode)
+            assert float(result.longest_delay).hex() == golden["longest_delay"], name
+            assert result.critical_endpoint == golden["critical_endpoint"], name
+            assert result.critical_direction == golden["critical_direction"], name
+            assert result.arcs_processed == golden["arcs_processed"], name
+            assert result.waveform_evaluations == golden["waveform_evaluations"]
+            assert result.coupled_arcs == golden["coupled_arcs"], name
+            assert result.passes == len(golden["passes"]), name
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_every_pass_bit_identical(self, core_pair, mode):
-        obj = core_pair[Core.OBJECT][mode]
-        col = core_pair[Core.COLUMNAR][mode]
-        assert len(obj.history) == len(col.history)
-        for ro, rc in zip(obj.history, col.history):
-            assert ro.longest_delay.hex() == rc.longest_delay.hex()
-            assert ro.waveform_evaluations == rc.waveform_evaluations
-            assert ro.dirty_arcs == rc.dirty_arcs
-            assert ro.reused_arcs == rc.reused_arcs
+    def test_every_pass_bit_identical(self, results, mode):
+        for name, by_mode in results.items():
+            assert pass_rows(by_mode[mode]) == _golden(name, mode)["passes"], name
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_provenance_ledger_identical(self, core_pair, mode):
-        obj = core_pair[Core.OBJECT][mode].ledger
-        col = core_pair[Core.COLUMNAR][mode].ledger
-        assert obj is not None and col is not None
-        assert len(obj) == len(col)
-        assert obj.counts() == col.counts()
+    def test_provenance_ledger_identical(self, results, mode):
+        for name, by_mode in results.items():
+            ledger = by_mode[mode].ledger
+            golden = _golden(name, mode)
+            assert ledger is not None
+            assert len(ledger) == golden["ledger_rows"], name
+            assert ledger.counts() == golden["ledger_counts"], name
+
+    @pytest.mark.parametrize("mode", list(AnalysisMode))
+    def test_slack_identical(self, designs, results, mode):
+        for name, by_mode in results.items():
+            for period in _periods(name):
+                slack = compute_slack(designs[name], by_mode[mode], period)
+                assert (
+                    slack_entry(slack)
+                    == _golden(name, mode)["slack"][float(period).hex()]
+                ), (name, period)
 
     @pytest.mark.parametrize("incremental", [True, False])
     def test_incremental_composition_identical(self, s27_design, incremental):
-        results = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(
-                s27_design,
-                StaConfig(
-                    mode=AnalysisMode.ITERATIVE,
-                    core=core,
-                    incremental=incremental,
-                ),
-            )
-            results[core] = sta.run()
-        obj, col = results[Core.OBJECT], results[Core.COLUMNAR]
-        assert obj.longest_delay.hex() == col.longest_delay.hex()
-        for ro, rc in zip(obj.history, col.history):
-            assert ro.waveform_evaluations == rc.waveform_evaluations
-            assert ro.reused_arcs == rc.reused_arcs
-
-    def test_checkpoint_cross_core_resume(self, s27_design, tmp_path):
-        """Checkpoints are core-agnostic: a run interrupted under one
-        core resumes under the other to the bit-identical result."""
-        reference = CrosstalkSTA(
+        result = CrosstalkSTA(
             s27_design,
-            StaConfig(mode=AnalysisMode.ITERATIVE, core=Core.OBJECT),
+            StaConfig(mode=AnalysisMode.ITERATIVE, incremental=incremental),
         ).run()
-        for first, second in (
-            (Core.OBJECT, Core.COLUMNAR),
-            (Core.COLUMNAR, Core.OBJECT),
-        ):
-            path = tmp_path / f"{first.value}-{second.value}.ckpt"
-            config_first = StaConfig(
-                mode=AnalysisMode.ITERATIVE, core=first, checkpoint=str(path)
-            )
-            CrosstalkSTA(s27_design, config_first).run()
-            config_second = StaConfig(
-                mode=AnalysisMode.ITERATIVE, core=second, checkpoint=str(path)
-            )
-            resumed = CrosstalkSTA(s27_design, config_second).run()
-            assert resumed.longest_delay.hex() == reference.longest_delay.hex()
+        if incremental:
+            golden = _golden("s27", AnalysisMode.ITERATIVE)
+        else:
+            golden = GOLDEN["s27"]["compositions"]["iterative_incremental_off"]
+        assert float(result.longest_delay).hex() == golden["longest_delay"]
+        assert pass_rows(result) == golden["passes"]
+
+    @pytest.mark.parametrize("name", list(DESIGNS))
+    def test_checkpoint_resume_matches_fixture(self, designs, name, tmp_path):
+        """A converged checkpoint resumed with a clock period set returns
+        the uninterrupted run's arrivals, passes and slack -- worst slack
+        and every per-net and per-arc slack -- hex-identical."""
+        design = designs[name]
+        period = _periods(name)[0]
+        config = StaConfig(
+            mode=AnalysisMode.ITERATIVE,
+            checkpoint=str(tmp_path / "converged.ckpt"),
+            clock_period=period,
+        )
+        CrosstalkSTA(design, config).run()
+        resumed = CrosstalkSTA(design, config).run()
+        assert resumed.cache_stats["evaluations"] == 0, "resume re-ran passes"
+        golden = _golden(name, AnalysisMode.ITERATIVE)
+        _assert_matches_mode(name, AnalysisMode.ITERATIVE, resumed)
+        assert pass_rows(resumed) == golden["passes"]
+        assert slack_entry(resumed.slack) == golden["slack"][float(period).hex()]
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
     def test_screened_composition_identical(self, s27_design, mode):
-        results = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(
-                s27_design,
-                StaConfig(
-                    mode=mode,
-                    core=core,
-                    solver_tier=SolverTier.SCREENED,
-                ),
-            )
-            results[core] = sta.run()
-        obj, col = results[Core.OBJECT], results[Core.COLUMNAR]
-        assert obj.longest_delay.hex() == col.longest_delay.hex()
-        assert obj.waveform_evaluations == col.waveform_evaluations
-        obj_a, col_a = obj.arrival_map(), col.arrival_map()
-        assert set(obj_a) == set(col_a)
-        for key in obj_a:
-            assert obj_a[key].hex() == col_a[key].hex(), key
+        result = CrosstalkSTA(
+            s27_design, StaConfig(mode=mode, solver_tier=SolverTier.SCREENED)
+        ).run()
+        golden = GOLDEN["s27"]["compositions"]["screened"][mode.value]
+        assert float(result.longest_delay).hex() == golden["longest_delay"]
+        assert result.waveform_evaluations == golden["waveform_evaluations"]
+        assert digest(result.arrival_map()) == golden["arrivals_sha256"]
 
-    def test_warm_start_cross_core(self, s27_design):
-        """The session what-if path: a columnar analyzer warm-started
-        from an object analyzer's memo (and vice versa) reuses every
-        unchanged arc and reports the bit-identical bound."""
-        cold = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(
-                s27_design,
-                StaConfig(mode=AnalysisMode.ITERATIVE, core=core),
-                keep_propagators=True,
-            )
-            cold[core] = (sta, sta.run())
-        for source, target in (
-            (Core.OBJECT, Core.COLUMNAR),
-            (Core.COLUMNAR, Core.OBJECT),
-        ):
-            warm_sta = CrosstalkSTA(
-                s27_design, StaConfig(mode=AnalysisMode.ITERATIVE, core=target)
-            )
-            warm_sta.warm_start_from(cold[source][0])
-            warm = warm_sta.run()
-            assert (
-                warm.longest_delay.hex()
-                == cold[target][1].longest_delay.hex()
-            )
-            assert warm.history[0].reused_arcs > 0
+    def test_warm_start_matches_fixture(self, s27_design):
+        """The session what-if path: an analyzer warm-started from a
+        retained propagator's memo reuses every unchanged arc and
+        reproduces the frozen bound."""
+        config = StaConfig(mode=AnalysisMode.ITERATIVE)
+        cold = CrosstalkSTA(s27_design, config, keep_propagators=True)
+        cold.run()
+        warm_sta = CrosstalkSTA(s27_design, config)
+        warm_sta.warm_start_from(cold)
+        warm = warm_sta.run()
+        _assert_matches_mode("s27", AnalysisMode.ITERATIVE, warm)
+        assert warm.history[0].reused_arcs > 0
 
 
 class TestCompiledDesignInterning:

@@ -104,16 +104,16 @@ class TestGracefulDegradation:
 
 class TestBatchEngineFallback:
     def test_batch_failure_falls_back_per_arc(self, s27_design):
-        clean = _run(s27_design, engine="batch")
+        clean = _run(s27_design)
         with newton_failures(rate=1.0, seed=0):
-            degraded = _run(s27_design, engine="batch")
+            degraded = _run(s27_design)
         assert degraded.cache_stats["degraded_arcs"] > 0
         assert degraded.longest_delay >= clean.longest_delay
 
     def test_batch_strict_raises(self, s27_design):
         with newton_failures(rate=1.0, seed=0):
             with pytest.raises(SolverError):
-                _run(s27_design, engine="batch", strict=True)
+                _run(s27_design, strict=True)
 
 
 def _pool_requests(library):
@@ -135,7 +135,6 @@ def _pool_requests(library):
 
 class TestWorkerResilience:
     def _pooled_calculator(self, **kwargs):
-        kwargs.setdefault("engine", "batch")
         kwargs.setdefault("workers", 2)
         kwargs.setdefault("retry_backoff", 0.01)
         return GateDelayCalculator(**kwargs)
@@ -232,24 +231,24 @@ class TestCacheResilience:
 class TestCheckpointResume:
     CONFIG = dict(mode=AnalysisMode.ITERATIVE, max_iterations=6)
 
-    def _iterative(self, design, checkpoint=None, after_pass=None):
+    def _iterative(self, design, path=None, fingerprint="s27-test", after_pass=None):
         calc = GateDelayCalculator(process=design.process)
         propagator = Propagator(
             design, StaConfig(**self.CONFIG), calc, obs=Observability.disabled()
+        )
+        checkpoint = (
+            None
+            if path is None
+            else CheckpointManager(path, fingerprint, propagator=propagator)
         )
         return run_iterative(propagator, checkpoint=checkpoint, after_pass=after_pass)
 
     def test_interrupt_then_resume_bit_identical(self, s27_design, tmp_path):
         reference = self._iterative(s27_design)
         path = str(tmp_path / "ck.json")
-        manager = CheckpointManager(path, fingerprint="s27-test")
         with pytest.raises(AnalysisInterrupted):
-            self._iterative(
-                s27_design, checkpoint=manager, after_pass=interrupt_after_pass(1)
-            )
-        resumed = self._iterative(
-            s27_design, checkpoint=CheckpointManager(path, fingerprint="s27-test")
-        )
+            self._iterative(s27_design, path, after_pass=interrupt_after_pass(1))
+        resumed = self._iterative(s27_design, path)
         assert resumed.final.longest_delay == reference.final.longest_delay
         assert resumed.final.arrival_map() == reference.final.arrival_map()
         assert [r.longest_delay for r in resumed.history] == [
@@ -258,8 +257,7 @@ class TestCheckpointResume:
 
     def test_converged_checkpoint_returns_without_passes(self, s27_design, tmp_path):
         path = str(tmp_path / "ck.json")
-        manager = CheckpointManager(path, fingerprint="s27-test")
-        finished = self._iterative(s27_design, checkpoint=manager)
+        finished = self._iterative(s27_design, path)
         calc = GateDelayCalculator(process=s27_design.process)
         propagator = Propagator(
             s27_design,
@@ -268,7 +266,10 @@ class TestCheckpointResume:
             obs=Observability.disabled(),
         )
         again = run_iterative(
-            propagator, checkpoint=CheckpointManager(path, fingerprint="s27-test")
+            propagator,
+            checkpoint=CheckpointManager(
+                path, fingerprint="s27-test", propagator=propagator
+            ),
         )
         assert again.final.longest_delay == finished.final.longest_delay
         assert calc.evaluations == 0, "resume of a converged run re-ran passes"
@@ -276,15 +277,10 @@ class TestCheckpointResume:
     def test_corrupt_checkpoint_quarantined_and_restarted(self, s27_design, tmp_path):
         reference = self._iterative(s27_design)
         path = str(tmp_path / "ck.json")
-        manager = CheckpointManager(path, fingerprint="s27-test")
         with pytest.raises(AnalysisInterrupted):
-            self._iterative(
-                s27_design, checkpoint=manager, after_pass=interrupt_after_pass(1)
-            )
+            self._iterative(s27_design, path, after_pass=interrupt_after_pass(1))
         corrupt_file(path, mode="truncate")
-        restarted = self._iterative(
-            s27_design, checkpoint=CheckpointManager(path, fingerprint="s27-test")
-        )
+        restarted = self._iterative(s27_design, path)
         assert restarted.final.longest_delay == reference.final.longest_delay
         assert (tmp_path / "ck.json.bad").exists()
 
@@ -293,13 +289,12 @@ class TestCheckpointResume:
         with pytest.raises(AnalysisInterrupted):
             self._iterative(
                 s27_design,
-                checkpoint=CheckpointManager(path, fingerprint="config-A"),
+                path,
+                fingerprint="config-A",
                 after_pass=interrupt_after_pass(1),
             )
         reference = self._iterative(s27_design)
-        other = self._iterative(
-            s27_design, checkpoint=CheckpointManager(path, fingerprint="config-B")
-        )
+        other = self._iterative(s27_design, path, fingerprint="config-B")
         assert other.final.longest_delay == reference.final.longest_delay
         assert other.passes == reference.passes
 

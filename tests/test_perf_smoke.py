@@ -137,17 +137,8 @@ class TestColumnarBudget:
         at most 10% of a single one-step solve."""
         import time
 
-        from repro.core.modes import Core, Engine
-
         design = prepare_design(s35932_like(scale=self.SMOKE_SCALE))
-        sta = CrosstalkSTA(
-            design,
-            StaConfig(
-                mode=AnalysisMode.ONE_STEP,
-                engine=Engine.BATCH,
-                core=Core.COLUMNAR,
-            ),
-        )
+        sta = CrosstalkSTA(design, StaConfig(mode=AnalysisMode.ONE_STEP))
         t0 = time.perf_counter()
         result = sta.run()
         seconds = time.perf_counter() - t0

@@ -164,11 +164,11 @@ class TestSessionConfig:
         assert config.strict
 
     def test_core_override(self):
-        from repro.core.modes import Core
-
-        config = session_config(ONE_STEP, {"core": "object"})
-        assert config.core is Core.OBJECT
-        assert session_config(ONE_STEP, {"core": "columnar"}).core is Core.COLUMNAR
+        """There is one propagation core and one solver engine: the former
+        ``core``/``engine`` overrides get the unknown-override error."""
+        for key, value in (("core", "columnar"), ("engine", "batch")):
+            with pytest.raises(InputError):
+                session_config(ONE_STEP, {key: value})
 
     def test_unknown_key(self):
         with pytest.raises(InputError):

@@ -1,13 +1,15 @@
 """Tests for the graph-wide slack engine (backward required-time pass).
 
-The invariants pinned here are the tentpole's acceptance criteria:
-per-arc slacks telescope bit-exactly onto the endpoint slack in every
-analysis mode, and the vectorized columnar sweep is ``float.hex()``-
-identical to the object-graph reference sweep.
+The invariants pinned here: per-arc slacks telescope bit-exactly onto
+the endpoint slack in every analysis mode, and the vectorized columnar
+sweep reproduces the deleted object-graph reference sweep's results,
+frozen in ``tests/golden/sta.json``, ``float.hex()`` for ``float.hex()``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -15,10 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import s27
+from repro.circuit.generators import S35932_SPEC, generate_circuit
 from repro.core.analyzer import CrosstalkSTA
+from repro.core.checkpoint import _decode_pass, _encode_pass
 from repro.core.constraints import check_hold, check_setup
+from repro.core.graph import TimingState
 from repro.core.minpath import MinAnalysisMode, MinPropagator
-from repro.core.modes import AnalysisMode, Core, StaConfig
+from repro.core.modes import AnalysisMode, StaConfig
+from repro.core.propagation import PassResult
 from repro.core.slack import (
     SLACK_SCHEMA,
     compute_slack,
@@ -28,6 +34,10 @@ from repro.core.slack import (
 )
 from repro.errors import InputError
 from repro.flow import prepare_design
+from tests.golden.make_sta import FIXTURE_PATH, slack_entry
+
+with open(FIXTURE_PATH) as _handle:
+    GOLDEN = json.load(_handle)["circuits"]["s27"]["modes"]
 
 ALL_MODES = list(AnalysisMode)
 
@@ -39,13 +49,9 @@ def design():
 
 @pytest.fixture(scope="module")
 def results(design):
-    """One forward run per (mode, core); slack passes reuse them."""
-    out = {}
-    for core in (Core.OBJECT, Core.COLUMNAR):
-        sta = CrosstalkSTA(design, StaConfig(core=core))
-        for mode in ALL_MODES:
-            out[(mode, core)] = sta.run(mode)
-    return out
+    """One forward run per mode; slack passes reuse them."""
+    sta = CrosstalkSTA(design, StaConfig())
+    return {mode: sta.run(mode) for mode in ALL_MODES}
 
 
 def _slack_hexes(slack):
@@ -60,19 +66,17 @@ class TestCrossCoreIdentity:
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
     @pytest.mark.parametrize("period", [1.2e-9, 0.4e-9], ids=["met", "violated"])
     def test_columnar_matches_object_bitwise(self, design, results, mode, period):
-        obj = compute_slack(design, results[(mode, Core.OBJECT)], period)
-        col = compute_slack(design, results[(mode, Core.COLUMNAR)], period)
-        assert obj.core is Core.OBJECT and col.core is Core.COLUMNAR
-        assert _slack_hexes(obj) == _slack_hexes(col)
-        assert obj.violations == col.violations
+        col = compute_slack(design, results[mode], period)
+        golden = GOLDEN[mode.value]["slack"][float(period).hex()]
+        assert slack_entry(col) == golden
+        assert col.violations == golden["violations"]
         assert (
-            float(obj.total_negative_slack).hex()
-            == float(col.total_negative_slack).hex()
+            float(col.total_negative_slack).hex() == golden["total_negative_slack"]
         )
 
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
     def test_payload_telescopes_bit_exactly(self, design, results, mode):
-        result = results[(mode, Core.COLUMNAR)]
+        result = results[mode]
         slack = compute_slack(design, result, 0.4e-9)
         payload = slack_payload(design.circuit, result, slack, k=2)
         assert payload["schema"] == SLACK_SCHEMA
@@ -82,7 +86,7 @@ class TestCrossCoreIdentity:
 
 class TestSlackSemantics:
     def test_worst_endpoint_matches_setup_check(self, design, results):
-        result = results[(AnalysisMode.ITERATIVE, Core.OBJECT)]
+        result = results[AnalysisMode.ITERATIVE]
         slack = compute_slack(design, result, 0.4e-9)
         report = check_setup(result, 0.4e-9)
         assert slack.worst_slack == report.worst.slack
@@ -93,7 +97,7 @@ class TestSlackSemantics:
     def test_net_slack_bounded_by_fanout_arc_slacks(self, design, results):
         """A net's slack is the min over its fanout arcs' slacks --
         exactly, because both sides share the same float subtractions."""
-        result = results[(AnalysisMode.ITERATIVE, Core.OBJECT)]
+        result = results[AnalysisMode.ITERATIVE]
         slack = compute_slack(design, result, 0.4e-9)
         by_input: dict[tuple[str, str], list[float]] = {}
         for (cell_name, pin_name, direction), value in slack.arc_slack.items():
@@ -114,7 +118,7 @@ class TestSlackSemantics:
         assert checked > 10
 
     def test_total_negative_slack_accumulates_failures(self, design, results):
-        result = results[(AnalysisMode.WORST_CASE, Core.COLUMNAR)]
+        result = results[AnalysisMode.WORST_CASE]
         slack = compute_slack(design, result, 0.4e-9)
         expected = sum(s.slack for s in slack.endpoints.slacks if s.slack < 0.0)
         assert slack.total_negative_slack == pytest.approx(expected, abs=1e-18)
@@ -124,12 +128,34 @@ class TestSlackSemantics:
 
     def test_met_period_has_no_violations(self, design, results):
         slack = compute_slack(
-            design, results[(AnalysisMode.BEST_CASE, Core.OBJECT)], 1.5e-9
+            design, results[AnalysisMode.BEST_CASE], 1.5e-9
         )
         assert slack.met
         assert slack.violations == 0
         assert slack.total_negative_slack == 0.0
         assert all(v >= 0.0 for v in slack.net_slack.values())
+
+
+class TestPayloadPathOrder:
+    def test_paths_ranked_by_endpoint_slack(self):
+        """Endpoints have different required times (a flip-flop ``D`` pin
+        pays the setup time, a primary output does not), so the latest
+        arrival need not carry the worst slack.  On this generated design
+        ``PO_N1472`` arrives last while ``FFQ76__g1627/D`` has the worst
+        slack; the payload must lead with the worst-slack path."""
+        spec = dataclasses.replace(S35932_SPEC.scaled(0.1), seed=375158)
+        design = prepare_design(generate_circuit(spec))
+        result = CrosstalkSTA(
+            design, StaConfig(mode=AnalysisMode.ONE_STEP, clock_period=6e-9)
+        ).run()
+        assert result.critical_endpoint == "PO_N1472"
+        assert result.slack.worst_endpoint == "FFQ76__g1627/D"
+        payload = slack_payload(design.circuit, result, result.slack, k=3)
+        validate_slack(payload)
+        assert payload["paths"][0]["endpoint"] == "FFQ76__g1627/D"
+        slacks = [float.fromhex(path["slack_hex"]) for path in payload["paths"]]
+        assert len(slacks) == 3
+        assert slacks == sorted(slacks)
 
 
 @settings(
@@ -140,21 +166,24 @@ class TestSlackSemantics:
 @given(period_ps=st.floats(min_value=300.0, max_value=2000.0))
 def test_property_telescoping_and_core_invariance(design, results, period_ps):
     """For any clock period: per-arc slacks telescope onto the endpoint
-    slack bit-exactly and the two cores agree ``float.hex()``-wise."""
+    slack bit-exactly, and the final pass decoded from its checkpoint
+    encoding into fresh state columns yields ``float.hex()``-identical
+    slacks."""
     period = period_ps * 1e-12
-    result_obj = results[(AnalysisMode.ITERATIVE, Core.OBJECT)]
-    result_col = results[(AnalysisMode.ITERATIVE, Core.COLUMNAR)]
-    obj = compute_slack(design, result_obj, period)
-    col = compute_slack(design, result_col, period)
-    assert _slack_hexes(obj) == _slack_hexes(col)
-    payload = slack_payload(design.circuit, result_col, col, k=1)
+    result = results[AnalysisMode.ITERATIVE]
+    col = compute_slack(design, result, period)
+    decoded = _decode_pass(
+        _encode_pass(result.final_pass), result.final_pass.state.compiled
+    )
+    assert _slack_hexes(compute_slack(design, decoded, period)) == _slack_hexes(col)
+    payload = slack_payload(design.circuit, result, col, k=1)
     validate_slack(payload)
     # The reported worst endpoint tracks the minimum over all nets (to
     # rounding: the seed subtracts the terminal's Elmore delta in a
     # different association than the endpoint check, so the two floats
     # may differ in the last ulp).
-    finite = [v for v in obj.net_slack.values() if math.isfinite(v)]
-    assert min(finite) == pytest.approx(obj.worst_slack, abs=1e-15)
+    finite = [v for v in col.net_slack.values() if math.isfinite(v)]
+    assert min(finite) == pytest.approx(col.worst_slack, abs=1e-15)
 
 
 class TestConstraintConfig:
@@ -189,11 +218,8 @@ class TestConstraintConfig:
         assert without.slack is None
         assert without.worst_slack is None
 
-    def test_columnar_core_requires_columnar_state(self, design, results):
+    def test_columnar_core_requires_columnar_state(self, design):
+        """The sweep reads the propagator's column state; a plain
+        ``TimingState`` (the min-delay propagator's) is rejected."""
         with pytest.raises(InputError):
-            compute_slack(
-                design,
-                results[(AnalysisMode.ITERATIVE, Core.OBJECT)],
-                1.0e-9,
-                core=Core.COLUMNAR,
-            )
+            compute_slack(design, PassResult(state=TimingState()), 1.0e-9)
