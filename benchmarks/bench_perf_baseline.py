@@ -6,7 +6,10 @@ two-tier screened solver against exact Newton.
 
 A second section sweeps the circuit scale (0.05 / 0.2 / 1.0 -- the last
 is the paper's full-size s35932) and times the one-step analysis,
-recording compile time and peak RSS per run.  ``REPRO_SWEEP_MAX=<float>``
+recording compile time and peak RSS per run, plus the physical front
+end: ``prepare_design`` and a second, separately timed ``route`` with its
+claim and exact-probe counts and its route digest, which must equal the
+one frozen in ``tests/golden/routes.json``.  ``REPRO_SWEEP_MAX=<float>``
 caps the sweep's largest scale for quick local runs.
 
 Besides the human-readable results block, the numbers are written
@@ -23,6 +26,7 @@ import json
 import os
 import platform
 import resource
+import sys
 import time
 from pathlib import Path
 
@@ -32,8 +36,15 @@ from repro.circuit import s35932_like
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.modes import AnalysisMode, SolverTier, StaConfig
 from repro.flow import prepare_design
+from repro.layout.routing import route
 
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_sta_runtime.json"
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO))  # tests.golden: the route fixtures
+
+from tests.golden.make_routes import FIXTURE_PATH as ROUTES_JSON  # noqa: E402
+from tests.golden.make_routes import route_digest  # noqa: E402
+
+BENCH_JSON = REPO / "BENCH_sta_runtime.json"
 
 SCREEN_TOLERANCE = 100e-12
 
@@ -47,6 +58,12 @@ SWEEP_MODE = AnalysisMode.ONE_STEP
 # core): the acceptance target is >= 5x this throughput at scale 1.0.
 OBJECT_BASELINE_APS = 1385.0
 COLUMNAR_TARGET_SPEEDUP = 5.0
+
+# Full-size ``prepare_design`` with the plain outward ``fits`` scan, before
+# the router's occupancy filter (ROADMAP "Measured baseline"); the
+# filtered router must make it at least 3x faster.
+PREPARE_BASELINE_SECONDS = 148.9
+PREPARE_TARGET_SPEEDUP = 3.0
 
 
 def _peak_rss_mb() -> float:
@@ -312,7 +329,20 @@ def core_sweep(record_result, screened_comparison):
     for sweep_scale in SWEEP_SCALES:
         if sweep_scale > sweep_max:
             continue
+        t0 = time.perf_counter()
         design = prepare_design(s35932_like(scale=sweep_scale))
+        prepare_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        routing = route(design.circuit, design.placement, design.technology)
+        route_seconds = time.perf_counter() - t0
+        layout = {
+            "prepare_seconds": prepare_seconds,
+            "route_seconds": route_seconds,
+            "route_claims": routing.claims,
+            "route_exact_probes": routing.exact_probes,
+            "route_sha256": route_digest(routing)["route_sha256"],
+        }
+        del routing
         sta = CrosstalkSTA(design, StaConfig(mode=SWEEP_MODE))
         t0 = time.perf_counter()
         result = sta.run()
@@ -329,6 +359,7 @@ def core_sweep(record_result, screened_comparison):
             {
                 "scale": sweep_scale,
                 "mode": SWEEP_MODE.value,
+                "layout": layout,
                 "cores": {"columnar": columnar},
             }
         )
@@ -337,15 +368,19 @@ def core_sweep(record_result, screened_comparison):
         "Columnar core across scales (s35932-like, one-step)",
         "",
         f"{'scale':>6} {'arcs':>7} {'seconds':>9} {'arcs/s':>9} "
-        f"{'compile s':>10} {'rss MB':>8}",
-        "-" * 54,
+        f"{'compile s':>10} {'rss MB':>8} {'prepare s':>10} {'route s':>8} "
+        f"{'probes/claim':>13}",
+        "-" * 88,
     ]
     for row in rows:
         col = row["cores"]["columnar"]
+        lay = row["layout"]
         lines.append(
             f"{row['scale']:>6.2f} {col['arcs_processed']:>7} "
             f"{col['seconds']:>9.2f} {col['arcs_per_second']:>9.0f} "
-            f"{col['compile_seconds']:>10.3f} {col['peak_rss_mb']:>8.0f}"
+            f"{col['compile_seconds']:>10.3f} {col['peak_rss_mb']:>8.0f} "
+            f"{lay['prepare_seconds']:>10.2f} {lay['route_seconds']:>8.2f} "
+            f"{lay['route_exact_probes'] / lay['route_claims']:>13.3f}"
         )
     record_result("perf_core_sweep", "\n".join(lines))
 
@@ -353,6 +388,7 @@ def core_sweep(record_result, screened_comparison):
     payload["core_sweep"] = {
         "mode": SWEEP_MODE.value,
         "object_baseline_arcs_per_second": OBJECT_BASELINE_APS,
+        "prepare_baseline_seconds": PREPARE_BASELINE_SECONDS,
         "scales": rows,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -384,5 +420,31 @@ def test_compile_amortizes_at_bench_scale(core_sweep, benchmark):
     assert col["compile_seconds"] <= 0.10 * col["seconds"], (
         f"compile {col['compile_seconds']:.3f}s exceeds 10% of the "
         f"{col['seconds']:.3f}s solve at scale {row['scale']}"
+    )
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_routes_match_golden_fixtures(core_sweep, benchmark):
+    """Every sweep scale routes to the digest frozen in
+    ``tests/golden/routes.json`` -- scale 1.0 is checked only here."""
+    golden = json.loads(Path(ROUTES_JSON).read_text())["cases"]
+    for row in core_sweep:
+        frozen = golden[f"gen:s35932@{row['scale']}"]
+        assert row["layout"]["route_sha256"] == frozen["route_sha256"], row["scale"]
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_full_scale_prepare_meets_target(core_sweep, benchmark):
+    """Full-size ``prepare_design`` is at least 3x faster than the
+    committed pre-filter baseline."""
+    full = [row for row in core_sweep if row["scale"] >= 1.0]
+    if not full:
+        pytest.skip("sweep capped below scale 1.0 (REPRO_SWEEP_MAX)")
+    seconds = full[0]["layout"]["prepare_seconds"]
+    ceiling = PREPARE_BASELINE_SECONDS / PREPARE_TARGET_SPEEDUP
+    assert seconds <= ceiling, (
+        f"scale-1.0 prepare_design took {seconds:.1f}s, above the "
+        f"{ceiling:.1f}s target ({PREPARE_TARGET_SPEEDUP:.0f}x under the "
+        f"committed {PREPARE_BASELINE_SECONDS:.1f}s)"
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

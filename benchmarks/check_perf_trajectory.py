@@ -16,8 +16,14 @@ should survive machine changes:
   reuses on its second iterative pass.  This is a property of the
   algorithm, not the machine, so it must stay within ``--reuse-tol``
   (default 0.15 absolute) of the committed figure.
+* router exact probes per claim -- the ``TrackOccupancy.fits`` checks the
+  occupancy filter leaves per claimed interval when the fresh run's
+  design is routed, against the committed ``core_sweep`` row at the same
+  scale.  Deterministic, so it may exceed the committed figure by at
+  most ``--probe-tol`` (default 10%): a return to the quadratic outward
+  scan fails here on any machine.
 
-Exit status 0 when both hold, 1 otherwise.  Run from the repo root:
+Exit status 0 when all hold, 1 otherwise.  Run from the repo root:
 
     python benchmarks/check_perf_trajectory.py
 """
@@ -36,6 +42,7 @@ sys.path.insert(0, str(REPO / "src"))
 DEFAULT_BASELINE = REPO / "BENCH_sta_runtime.json"
 DEFAULT_APS_FLOOR = 0.2
 DEFAULT_REUSE_TOLERANCE = 0.15
+DEFAULT_PROBE_TOLERANCE = 0.10
 
 
 def _pass2_reuse(engine_row: dict) -> float | None:
@@ -51,6 +58,16 @@ def _pass2_reuse(engine_row: dict) -> float | None:
     return p2["reused_arcs"] / total
 
 
+def _committed_probes_per_claim(baseline: dict, scale: float) -> float | None:
+    """Exact probes per claim of the committed core-sweep row at
+    ``scale``, None when the baseline has no such row."""
+    for row in baseline.get("core_sweep", {}).get("scales", []):
+        layout = row.get("layout")
+        if row.get("scale") == scale and layout and layout.get("route_claims"):
+            return layout["route_exact_probes"] / layout["route_claims"]
+    return None
+
+
 def _fresh_measurement(scale: float, mode: str) -> dict:
     from repro.circuit import s35932_like
     from repro.core.analyzer import CrosstalkSTA
@@ -63,6 +80,7 @@ def _fresh_measurement(scale: float, mode: str) -> dict:
     result = sta.run()
     seconds = time.perf_counter() - t0
     return {
+        "probes_per_claim": design.routing.exact_probes / design.routing.claims,
         "seconds": seconds,
         "arcs_processed": result.arcs_processed,
         "arcs_per_second": result.arcs_processed / seconds,
@@ -93,6 +111,12 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=DEFAULT_REUSE_TOLERANCE,
         help="allowed absolute drift of the pass-2 reuse fraction",
+    )
+    parser.add_argument(
+        "--probe-tol",
+        type=float,
+        default=DEFAULT_PROBE_TOLERANCE,
+        help="allowed relative rise of router exact probes per claim",
     )
     args = parser.parse_args(argv)
 
@@ -154,6 +178,25 @@ def main(argv: list[str] | None = None) -> int:
                 f"pass-2 reuse fraction drifted: {fresh_reuse:.3f} vs "
                 f"committed {committed_reuse:.3f} "
                 f"(tolerance +/-{args.reuse_tol})"
+            )
+
+    committed_probes = _committed_probes_per_claim(baseline, scale)
+    fresh_probes = fresh["probes_per_claim"]
+    if committed_probes is None:
+        failures.append(
+            f"baseline has no core_sweep layout row at scale {scale}; re-run "
+            "benchmarks/bench_perf_baseline.py to regenerate it"
+        )
+    else:
+        probe_ceiling = committed_probes * (1.0 + args.probe_tol)
+        print(
+            f"router exact probes per claim: committed {committed_probes:.3f}, "
+            f"fresh {fresh_probes:.3f} (ceiling {probe_ceiling:.3f})"
+        )
+        if fresh_probes > probe_ceiling:
+            failures.append(
+                f"router probes per claim rose: {fresh_probes:.3f} vs "
+                f"committed {committed_probes:.3f} (+{args.probe_tol:.0%} allowed)"
             )
 
     if failures:

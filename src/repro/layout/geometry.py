@@ -7,6 +7,7 @@ Coordinates are in micrometres.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 
@@ -53,9 +54,13 @@ class TrackSegment:
         return max(0.0, min(self.hi, other.hi) - max(self.lo, other.lo))
 
 
+# Intervals meeting by no more than this do not overlap.
+OVERLAP_EPS = 1e-9
+
+
 def interval_overlaps(lo_a: float, hi_a: float, lo_b: float, hi_b: float) -> bool:
     """True if open intervals (lo_a, hi_a) and (lo_b, hi_b) intersect."""
-    return min(hi_a, hi_b) - max(lo_a, lo_b) > 1e-9
+    return min(hi_a, hi_b) - max(lo_a, lo_b) > OVERLAP_EPS
 
 
 class TrackOccupancy:
@@ -73,8 +78,6 @@ class TrackOccupancy:
         self.intervals: list[tuple[float, float]] = []
 
     def fits(self, lo: float, hi: float, clearance: float = 0.0) -> bool:
-        from bisect import bisect_left
-
         intervals = self.intervals
         index = bisect_left(intervals, (lo, lo))
         # The predecessor may reach into [lo, hi]; successors start after
@@ -90,6 +93,4 @@ class TrackOccupancy:
         return True
 
     def add(self, lo: float, hi: float) -> None:
-        from bisect import insort
-
         insort(self.intervals, (lo, hi))

@@ -1,5 +1,9 @@
 """Tests for placement, routing, technology and geometry."""
 
+import json
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +11,11 @@ from hypothesis import strategies as st
 from repro.circuit import s27
 from repro.circuit.generators import GeneratorSpec, generate_circuit
 from repro.layout.geometry import Point, TrackOccupancy, TrackSegment, interval_overlaps
+from repro.layout import routing as routing_module
 from repro.layout.placement import place
-from repro.layout.routing import route
+from repro.layout.routing import _TrackGrid, reroute_nets, route
 from repro.layout.technology import Technology, default_technology
+from tests.golden import make_routes
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +200,193 @@ class TestRouting:
     def test_wirelength_positive(self, routed_medium):
         _, _, routing = routed_medium
         assert routing.total_wirelength() > 0
+
+
+class TestRouteFixtures:
+    """Routes and coupling frozen in ``tests/golden/routes.json``
+    (regenerate with ``tests/golden/make_routes.py``): the track filter
+    must leave every segment, tap, overflow count and coupling hex as the
+    plain outward ``fits`` scan produced them."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(make_routes.FIXTURE_PATH) as handle:
+            return json.load(handle)
+
+    def test_schema_and_cases(self, golden):
+        assert golden["schema"] == make_routes.SCHEMA
+        assert set(golden["cases"]) == set(make_routes.TIER1_CASES) | {make_routes.FULL_CASE}
+
+    @pytest.mark.parametrize("name", make_routes.TIER1_CASES)
+    def test_case_matches_golden(self, golden, name):
+        assert make_routes.build_case(name) == golden["cases"][name]
+
+    def test_claim_counters(self, routed_medium):
+        _, _, routed = routed_medium
+        assert routed.claims == len(routed.all_segments())
+        assert routed.exact_probes <= 2 * routed.claims
+
+
+class _OutwardScan:
+    """The router's first-fit search as a plain outward scan: every
+    candidate track probed with ``TrackOccupancy.fits``, nearest first,
+    + before -.  The oracle the filtered ``_TrackGrid`` must agree with."""
+
+    def __init__(self, clearance):
+        self.clearance = clearance
+        self.tracks = {}
+        self.overflows = 0
+
+    def occupancy(self, layer, track):
+        return self.tracks.setdefault((layer, track), TrackOccupancy())
+
+    def claim(self, layer, preferred, lo, hi, soft_radius=6, guard_tracks=0):
+        guards = range(-guard_tracks, guard_tracks + 1)
+        offset = 0
+        while True:
+            for sign in (1, -1) if offset else (1,):
+                track = preferred + sign * offset
+                if all(
+                    self.occupancy(layer, track + g).fits(lo, hi, self.clearance)
+                    for g in guards
+                ):
+                    for g in guards:
+                        self.occupancy(layer, track + g).add(lo, hi)
+                    if offset > soft_radius:
+                        self.overflows += 1
+                    return track
+            offset += 1
+
+
+# An endpoint is a bucket boundary, shifted by -1, 0 or +1 clearances (so
+# that a query's clearance-widened end can land on a boundary) and then
+# by an offset: none, within 1e-9 either side, or a fraction of a bucket.
+_NEAR = st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, -5e-10, 2e-9, -2e-9])
+_ENDPOINT = st.tuples(
+    st.integers(-1, 4),
+    st.sampled_from([-1, 0, 1]),
+    st.one_of(_NEAR.map(lambda d: (d, 0.0)), st.floats(0.0, 1.0).map(lambda f: (0.0, f))),
+)
+_PIECE = st.tuples(
+    st.sampled_from([1, 2]), st.integers(-4, 4), _ENDPOINT, _ENDPOINT
+)
+_CLAIM = st.tuples(
+    st.sampled_from([1, 2]),
+    st.integers(-3, 3),
+    _ENDPOINT,
+    _ENDPOINT,
+    st.integers(0, 2),
+)
+
+
+def _interval(width, clearance, a, b):
+    """Two endpoints ``(bucket, shift, (offset, fraction))`` as a sorted
+    interval."""
+    xs = sorted(
+        (k + frac) * width + shift * clearance + offset
+        for k, shift, (offset, frac) in (a, b)
+    )
+    return xs[0], xs[1]
+
+
+def _filter_bits(layer_filter, grid_name):
+    """Set bits of a filter grid as (track, bucket) pairs."""
+    bits = np.unpackbits(getattr(layer_filter, grid_name), axis=0, bitorder="little")
+    tracks, buckets = np.nonzero(bits)
+    return set(
+        zip(
+            (tracks + layer_filter.track0).tolist(),
+            (buckets + layer_filter.bucket0).tolist(),
+        )
+    )
+
+
+class TestTrackFilter:
+    """The occupancy filter decides exactly what the outward scan does.
+
+    ``bulk`` lowers the bulk-write threshold to zero, so every write
+    (replay and claims alike) builds the filter from difference arrays."""
+
+    @given(
+        pitch=st.floats(0.3, 3.0),
+        clearance_frac=st.sampled_from([0.0, 0.25, 0.6, 1.5]),
+        bulk=st.booleans(),
+        replay=st.lists(_PIECE, max_size=30),
+        claims=st.lists(_CLAIM, min_size=1, max_size=40),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_matches_outward_scan(self, pitch, clearance_frac, bulk, replay, claims):
+        clearance = clearance_frac * pitch
+        grid = _TrackGrid(pitch=pitch, clearance=clearance)
+        oracle = _OutwardScan(clearance)
+        width = grid.filters[1].width
+        pieces = []
+        for layer, track, a, b in replay:
+            lo, hi = _interval(width, clearance, a, b)
+            pieces.append((layer, track, lo, hi))
+            oracle.occupancy(layer, track).add(lo, hi)
+        with mock.patch.object(
+            routing_module, "_BULK_PIECES", 0 if bulk else routing_module._BULK_PIECES
+        ):
+            grid.occupy(pieces)
+            for layer, preferred, a, b, guard in claims:
+                lo, hi = _interval(width, clearance, a, b)
+                seg = grid.claim(layer, preferred, lo, hi, "n", guard_tracks=guard)
+                expected = oracle.claim(layer, preferred, lo, hi, guard_tracks=guard)
+                assert seg.track == expected
+        assert grid.overflows == oracle.overflows
+        assert grid.claims == len(claims)
+        for (layer, track), occ in oracle.tracks.items():
+            if occ.intervals:
+                assert grid._occupancy(layer, track).intervals == occ.intervals
+
+    @pytest.mark.parametrize(
+        "occupied, query",
+        [
+            # The occupant starts 5e-10 short of the boundary the
+            # clearance-widened query ends on: they meet by less than
+            # the overlap epsilon, so the track still fits.
+            ((3.0 - 5e-10, 9.0), (-3.0, 3.0 - 0.375)),
+            # Mirror image: the occupant ends on the boundary the query
+            # starts 5e-10 short of.
+            ((-3.0, 3.0), (3.0 + 0.375 - 5e-10, 9.0)),
+            # Within 1e-9 the other way: they overlap, the track is full.
+            ((3.0 - 2e-9, 9.0), (-3.0, 3.0 - 0.375)),
+        ],
+    )
+    def test_boundary_contacts(self, occupied, query):
+        grid = _TrackGrid(pitch=1.5, clearance=0.375)
+        oracle = _OutwardScan(0.375)
+        grid.occupy([(1, 0, *occupied)])
+        oracle.occupancy(1, 0).add(*occupied)
+        seg = grid.claim(1, 0, *query, "n")
+        assert seg.track == oracle.claim(1, 0, *query)
+
+    @given(pieces=st.lists(_PIECE, min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_write_matches_piecewise(self, pieces):
+        """A replay's difference-array build sets the same filter bits as
+        writing its intervals one at a time."""
+        bulk, piecewise = _TrackGrid(1.5, 0.375), _TrackGrid(1.5, 0.375)
+        intervals = [
+            (layer, track, *_interval(1.5, 0.375, a, b)) for layer, track, a, b in pieces
+        ]
+        with mock.patch.object(routing_module, "_BULK_PIECES", 0):
+            bulk.occupy(intervals)
+        for piece in intervals:
+            piecewise.occupy([piece])
+        for layer in (1, 2):
+            for name in ("touched", "covered"):
+                assert _filter_bits(bulk.filters[layer], name) == _filter_bits(
+                    piecewise.filters[layer], name
+                ), (layer, name)
+
+    def test_reroute_keeps_survivors_and_counts_own_claims(self, routed_medium):
+        circuit, placement, routed = routed_medium
+        victims = sorted(routed.routes)[:3]
+        rerouted = reroute_nets(circuit, placement, routed, victims, guard_tracks=1)
+        for name, net_route in routed.routes.items():
+            if name not in victims:
+                assert rerouted.routes[name] is net_route
+        own = sum(len(rerouted.routes[name].segments()) for name in victims)
+        assert rerouted.claims == own
