@@ -19,9 +19,9 @@ should survive machine changes:
 * router exact probes per claim -- the ``TrackOccupancy.fits`` checks the
   occupancy filter leaves per claimed interval when the fresh run's
   design is routed, against the committed ``core_sweep`` row at the same
-  scale.  Deterministic, so it may exceed the committed figure by at
-  most ``--probe-tol`` (default 10%): a return to the quadratic outward
-  scan fails here on any machine.
+  scale.  Deterministic, so its ceiling is a fixed 10% above the
+  committed figure rather than an option: a return to the quadratic
+  outward scan fails here on any machine.
 
 Exit status 0 when all hold, 1 otherwise.  Run from the repo root:
 
@@ -42,7 +42,7 @@ sys.path.insert(0, str(REPO / "src"))
 DEFAULT_BASELINE = REPO / "BENCH_sta_runtime.json"
 DEFAULT_APS_FLOOR = 0.2
 DEFAULT_REUSE_TOLERANCE = 0.15
-DEFAULT_PROBE_TOLERANCE = 0.10
+PROBE_TOLERANCE = 0.10
 
 
 def _pass2_reuse(engine_row: dict) -> float | None:
@@ -111,12 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=DEFAULT_REUSE_TOLERANCE,
         help="allowed absolute drift of the pass-2 reuse fraction",
-    )
-    parser.add_argument(
-        "--probe-tol",
-        type=float,
-        default=DEFAULT_PROBE_TOLERANCE,
-        help="allowed relative rise of router exact probes per claim",
     )
     args = parser.parse_args(argv)
 
@@ -188,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             "benchmarks/bench_perf_baseline.py to regenerate it"
         )
     else:
-        probe_ceiling = committed_probes * (1.0 + args.probe_tol)
+        probe_ceiling = committed_probes * (1.0 + PROBE_TOLERANCE)
         print(
             f"router exact probes per claim: committed {committed_probes:.3f}, "
             f"fresh {fresh_probes:.3f} (ceiling {probe_ceiling:.3f})"
@@ -196,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         if fresh_probes > probe_ceiling:
             failures.append(
                 f"router probes per claim rose: {fresh_probes:.3f} vs "
-                f"committed {committed_probes:.3f} (+{args.probe_tol:.0%} allowed)"
+                f"committed {committed_probes:.3f} (+{PROBE_TOLERANCE:.0%} allowed)"
             )
 
     if failures:
